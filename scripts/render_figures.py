@@ -10,9 +10,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from halfrare import marginals_from_values, validate_marginals
-from halfrare.core import make_event_set
+from halfrare import marginals_from_values
 from halfrare.figure import FigureSpec, render_figure
+from halfrare.transforms import identity_phenomenon
 
 
 def main() -> int:
@@ -27,11 +27,9 @@ def main() -> int:
         print(f"wrote {path}")
 
     # Phenomenon variants of the penta-plet: complement the last k events.
-    penta = base[:5]
+    penta = marginals_from_values(base[:5])
     for k in range(1, 6):
-        probs = penta[:-k] + [1 - p for p in penta[-k:]]
-        labels = [f"x{i + 1}" if i < 5 - k else f"x{i + 1}^c" for i in range(5)]
-        m = validate_marginals(make_event_set(labels), probs)
+        m = identity_phenomenon(5, kept=(1 << (5 - k)) - 1).map_marginals(penta)
         path = outdir / f"pentaplet_phenomenon_{5 - k}kept.svg"
         path.write_text(render_figure(m, FigureSpec()))
         print(f"wrote {path}")

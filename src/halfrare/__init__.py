@@ -34,7 +34,6 @@ from .oracle import (
 from .transforms import (
     PhenomenonMap,
     apply_phenomenon,
-    bounds_via_projection,
     half_rare_projection,
     independent_epd,
     independent_value,
@@ -54,7 +53,6 @@ __all__ = [
     "VerificationReport",
     "apply_phenomenon",
     "boundary_distributions",
-    "bounds_via_projection",
     "covariance_bounds_doublet",
     "covariance_first_kind",
     "doublet_bounds",

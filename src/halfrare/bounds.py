@@ -9,7 +9,8 @@ with the min over an empty index side dropped.  For half-rare marginals
 (1/2 >= p_1 >= ... >= p_N) the upper bound simplifies to 1 - p_1 at the
 empty set and min_{x in X} p_x elsewhere, and the lower bound is nonzero
 for at most two subsets: the empty set and the singleton of the most
-probable event.
+probable event.  Complementing the events with p > 1/2 and sorting reduces
+any marginal set to that case, so the dense table is always computed there.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from .core import (
     TerraceDistribution,
     check_subset,
     make_event_set,
-    subset_iter,
     validate_marginals,
 )
-from .errors import MarginalMismatch, NotHalfRare, TooLarge
+from .errors import MarginalMismatch, NotHalfRare
+from .transforms import apply_phenomenon, half_rare_map, independent_value
 
 
 @dataclass(frozen=True)
@@ -89,22 +90,22 @@ def lower_bound_half_rare(x: int, h: HalfRareMarginalSet) -> Fraction:
     return ZERO
 
 
-def boundary_distributions(m: MarginalSet, force_general: bool = False) -> BoundaryDistributions:
-    """Dense bounds over all 2^N subsets.
-
-    Dispatches to the half-rare fast path when the marginals qualify;
-    `force_general` keeps the general formulas for differential testing.
-    """
-    if m.n > 20:
-        raise TooLarge(f"N={m.n}")
-    if not force_general and m.is_half_rare():
-        h = HalfRareMarginalSet(m)
-        lower = tuple(lower_bound_half_rare(x, h) for x in subset_iter(m.n))
-        upper = tuple(upper_bound_half_rare(x, h) for x in subset_iter(m.n))
-    else:
-        lower = tuple(lower_bound_general(x, m) for x in subset_iter(m.n))
-        upper = tuple(upper_bound_general(x, m) for x in subset_iter(m.n))
-    return BoundaryDistributions(m.events, lower, upper)
+def boundary_distributions(m: MarginalSet) -> BoundaryDistributions:
+    """Dense bounds over all 2^N subsets, by the half-rare reduction: project
+    the marginals to the half-rare case, evaluate its closed forms on the whole
+    table, renumber back.  Labels play no part."""
+    pm = half_rare_map(m.probs)
+    p = pm.map_probs(m.probs)
+    rest = sum(p) - p[0]
+    lower = [ZERO] * (1 << m.n)
+    lower[0] = max(ZERO, ONE - p[0] - rest)
+    lower[1] = max(ZERO, p[0] - rest)
+    upper = [ONE - p[0]] + [p[x.bit_length() - 1] for x in range(1, 1 << m.n)]
+    return BoundaryDistributions(
+        m.events,
+        apply_phenomenon(lower, pm, inverse=True),
+        apply_phenomenon(upper, pm, inverse=True),
+    )
 
 
 def _doublet_marginals(p_x: Fraction, p_y: Fraction) -> MarginalSet:
@@ -126,8 +127,6 @@ def doublet_bounds(p_x: Fraction, p_y: Fraction) -> BoundaryDistributions:
 
 def covariance_first_kind(d: TerraceDistribution, m: MarginalSet, x: int) -> Fraction:
     """Deviation of a terrace probability from its value under independence."""
-    from .transforms import independent_value
-
     if d.events.n != m.n or d.induced_marginals() != m.probs:
         raise MarginalMismatch("distribution marginals do not match the declared ones")
     return d[x] - independent_value(x, m)

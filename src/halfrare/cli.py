@@ -67,6 +67,16 @@ def _load_marginals(args: argparse.Namespace) -> MarginalSet:
             probs = [parse_probability(str(t)) for t in doc["probabilities"]]
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
             raise CliError(EXIT_PARSE, f"malformed input document: {e}")
+        if not (
+            isinstance(labels, list)
+            and all(isinstance(lab, str) for lab in labels)
+            and isinstance(doc["probabilities"], list)
+        ):
+            raise CliError(
+                EXIT_PARSE,
+                'malformed input document: "events" must be a list of strings '
+                'and "probabilities" a list',
+            )
         try:
             return validate_marginals(make_event_set(labels), probs)
         except EventologyError as e:
@@ -81,8 +91,8 @@ def _fmt(args: argparse.Namespace) -> Callable[[Fraction], str]:
     return lambda q: format_decimal(q, digits)
 
 
-def _bound_rows(m: MarginalSet, fmt: Callable[[Fraction], str], force_general: bool):
-    bd = _bounds.boundary_distributions(m, force_general=force_general)
+def _bound_rows(m: MarginalSet, fmt: Callable[[Fraction], str]):
+    bd = _bounds.boundary_distributions(m)
     star = _transforms.independent_epd(m)
     for x in subset_iter(m.n):
         yield {
@@ -95,7 +105,7 @@ def _bound_rows(m: MarginalSet, fmt: Callable[[Fraction], str], force_general: b
 
 
 def _emit_rows(m: MarginalSet, args: argparse.Namespace, out) -> None:
-    rows = list(_bound_rows(m, _fmt(args), getattr(args, "general", False)))
+    rows = list(_bound_rows(m, _fmt(args)))
     if args.format == "json":
         json.dump({"N": m.n, "rows": rows}, out, indent=2)
         out.write("\n")
@@ -176,8 +186,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     m = _load_marginals(args)
-    spec = _figure.FigureSpec(width_px=args.width, height_px=args.height)
     try:
+        spec = _figure.FigureSpec(width_px=args.width, height_px=args.height)
         svg = _figure.render_figure(m, spec)
     except EventologyError as e:
         raise CliError(EXIT_VALIDATION, str(e))
@@ -192,39 +202,41 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def cmd_phenomenon(args: argparse.Namespace) -> int:
     m = _load_marginals(args)
     kept_labels = [t for t in args.kept.split(",") if t] if args.kept else []
+    if len(set(kept_labels)) != len(kept_labels):
+        raise CliError(EXIT_VALIDATION, f"repeated event label in --kept: {args.kept!r}")
     kept = 0
     for lab in kept_labels:
         if lab not in m.events.labels:
             raise CliError(EXIT_VALIDATION, f"unknown event label in --kept: {lab!r}")
         kept |= 1 << m.events.labels.index(lab)
-    pm = _transforms.identity_phenomenon(m.n, kept)
-    new_labels = tuple(
-        lab if (kept >> i) & 1 else lab + "^c" for i, lab in enumerate(m.events.labels)
-    )
-    new_probs = tuple(
-        p if (kept >> i) & 1 else 1 - p for i, p in enumerate(m.probs)
-    )
     try:
-        transformed = validate_marginals(make_event_set(new_labels), new_probs)
+        transformed = _transforms.identity_phenomenon(m.n, kept).map_marginals(m)
     except EventologyError as e:
         raise CliError(EXIT_VALIDATION, str(e))
+    # Complementing p_c and renumbering X -> X xor C leave every bound
+    # unchanged, so the transformed table is the table of the transformed
+    # marginals.
     fmt = _fmt(args)
-    bd = _bounds.boundary_distributions(m)
-    star = _transforms.independent_epd(m)
-    lower = _transforms.apply_phenomenon(bd.lower, pm)
-    upper = _transforms.apply_phenomenon(bd.upper, pm)
-    star_t = _transforms.apply_phenomenon(star.values, pm)
+    bd = _bounds.boundary_distributions(transformed)
+    star = _transforms.independent_epd(transformed)
     out = sys.stdout
     out.write("marginals: " + ", ".join(
-        f"{lab}={fmt(p)}" for lab, p in zip(new_labels, new_probs)
+        f"{lab}={fmt(p)}" for lab, p in zip(transformed.events.labels, transformed.probs)
     ) + "\n")
     out.write("subset labels lower star upper\n")
     for x in subset_iter(m.n):
         labs = "+".join(subset_labels(x, transformed.events)) or "-"
         out.write(
-            f"{indicator_string(x, m.n)} {labs} {fmt(lower[x])} {fmt(star_t[x])} {fmt(upper[x])}\n"
+            f"{indicator_string(x, m.n)} {labs} {fmt(bd.lower[x])} {fmt(star[x])} {fmt(bd.upper[x])}\n"
         )
     return EXIT_OK
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
@@ -235,7 +247,7 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 def _add_format_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.add_argument("--exact", action="store_true", help="print fractions instead of decimals")
-    p.add_argument("--digits", type=int, default=6, help="decimal rendering digits")
+    p.add_argument("--digits", type=non_negative_int, default=6, help="decimal rendering digits")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,13 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="per-subset lower/independent/upper table")
     _add_input_args(p)
     _add_format_args(p)
-    p.add_argument("--general", action="store_true",
-                   help="force the general formulas even for half-rare input")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="LP sharpness verification report")
     _add_input_args(p)
-    p.add_argument("--random", type=int, default=0, metavar="K",
+    p.add_argument("--random", type=non_negative_int, default=0, metavar="K",
                    help="verify K randomly drawn marginal sets instead of one input")
     p.add_argument("--n", type=int, default=3, help="event count for --random")
     p.add_argument("--half-rare", action="store_true", help="draw half-rare marginals")

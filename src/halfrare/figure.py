@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .bounds import BoundaryDistributions, boundary_distributions
 from .core import MarginalSet, indicator_string, subset_iter
-from .errors import TooLarge
+from .errors import EventologyError, TooLarge
 from .transforms import independent_epd
 
 #: Bars stop being legible past this many events.
@@ -28,6 +28,12 @@ class FigureSpec:
     margin_right: int = 12
     margin_top: int = 12
     margin_bottom: int = 32
+
+    def __post_init__(self) -> None:
+        if self.plot_width <= 0 or self.plot_height <= 0:
+            raise EventologyError(
+                f"a {self.width_px}x{self.height_px} figure leaves no plot area inside its margins"
+            )
 
     @property
     def plot_width(self) -> float:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .bounds import boundary_distributions
 from .core import (
     HALF,
+    MAX_EVENTS,
     ONE,
     ZERO,
     EventSet,
@@ -203,8 +204,8 @@ def verify_bounds(m: MarginalSet) -> VerificationReport:
 def random_marginals(n: int, seed: int, half_rare: bool = False) -> MarginalSet:
     """Deterministic random marginals with denominators <= 1000; the half-rare
     variant clamps to [0, 1/2] and sorts descending."""
-    if not 1 <= n <= 20:
-        raise TooLarge(f"N={n} not in [1, 20]")
+    if not 1 <= n <= MAX_EVENTS:
+        raise TooLarge(f"N={n} not in [1, {MAX_EVENTS}]")
     rng = random.Random(seed)
     probs = []
     for _ in range(n):

@@ -14,16 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import bounds as _bounds
 from .core import (
     HALF,
+    MAX_EVENTS,
     ONE,
-    ZERO,
     HalfRareMarginalSet,
     MarginalSet,
     TerraceDistribution,
     make_event_set,
-    subset_iter,
     validate_marginals,
 )
 from .errors import DimensionMismatch, TooLarge
@@ -49,14 +47,29 @@ class PhenomenonMap:
     def is_identity(self) -> bool:
         return self.kept == (1 << self.n) - 1 and self.order == tuple(range(self.n))
 
-    def map_subset(self, x: int) -> int:
-        """Renumbering X -> perm(X xor C)."""
-        w = x ^ self.complemented
-        out = 0
-        for j, i in enumerate(self.order):
-            if (w >> i) & 1:
-                out |= 1 << j
-        return out
+    def subset_table(self) -> list[int]:
+        """The renumbering X -> perm(X xor C) for every subset X, in one pass.
+
+        perm is linear over xor, so each entry is its predecessor without the
+        lowest set bit, xored with that bit's new position."""
+        pos = {1 << i: 1 << j for j, i in enumerate(self.order)}
+        table = [sum(b for low, b in pos.items() if low & self.complemented)]
+        for x in range(1, 1 << self.n):
+            low = x & -x
+            table.append(table[x ^ low] ^ pos[low])
+        return table
+
+    def map_probs(self, probs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """Marginals after the transform: complemented events get 1 - p."""
+        return tuple(probs[i] if (self.kept >> i) & 1 else ONE - probs[i] for i in self.order)
+
+    def map_marginals(self, m: MarginalSet) -> MarginalSet:
+        """`map_probs` with labels: complemented events are renamed `label^c`."""
+        labels = tuple(
+            m.events.labels[i] if (self.kept >> i) & 1 else m.events.labels[i] + "^c"
+            for i in self.order
+        )
+        return validate_marginals(make_event_set(labels), self.map_probs(m.probs))
 
 
 def identity_phenomenon(n: int, kept: int | None = None) -> PhenomenonMap:
@@ -74,7 +87,7 @@ def independent_value(x: int, m: MarginalSet) -> Fraction:
 
 def independent_epd(m: MarginalSet) -> TerraceDistribution:
     """Dense terrace distribution of the independent projection."""
-    if m.n > 20:
+    if m.n > MAX_EVENTS:
         raise TooLarge(f"N={m.n}")
     # Tensor-product fill: one factor per event instead of N products per cell.
     values = [ONE]
@@ -84,52 +97,31 @@ def independent_epd(m: MarginalSet) -> TerraceDistribution:
     return TerraceDistribution(m.events, tuple(values))
 
 
-def half_rare_projection(m: MarginalSet) -> tuple[HalfRareMarginalSet, PhenomenonMap]:
+def half_rare_map(probs: Sequence[Fraction]) -> PhenomenonMap:
     """Complement events with p > 1/2, then stably sort descending."""
-    flipped = [p if p <= HALF else ONE - p for p in m.probs]
-    kept = 0
-    for i, p in enumerate(m.probs):
-        if p <= HALF:
-            kept |= 1 << i
-    order = tuple(sorted(range(m.n), key=lambda i: (-flipped[i], i)))
-    labels = tuple(
-        m.events.labels[i] if (kept >> i) & 1 else m.events.labels[i] + "^c"
-        for i in order
-    )
-    probs = tuple(flipped[i] for i in order)
-    projected = validate_marginals(make_event_set(labels), probs)
-    return HalfRareMarginalSet(projected), PhenomenonMap(m.n, kept, order)
+    kept = sum(1 << i for i, p in enumerate(probs) if p <= HALF)
+    order = tuple(sorted(range(len(probs)), key=lambda i: -min(probs[i], ONE - probs[i])))
+    return PhenomenonMap(len(probs), kept, order)
+
+
+def half_rare_projection(m: MarginalSet) -> tuple[HalfRareMarginalSet, PhenomenonMap]:
+    """The half-rare marginal set reached by `half_rare_map`, with its map."""
+    pm = half_rare_map(m.probs)
+    return HalfRareMarginalSet(pm.map_marginals(m)), pm
 
 
 def apply_phenomenon(
     values: Sequence[Fraction], pm: PhenomenonMap, inverse: bool = False
 ) -> tuple[Fraction, ...]:
     """Renumber a dense power-set map; a bijection, so the value multiset is
-    preserved.  Forward puts the input value at X into slot map_subset(X);
+    preserved.  Forward puts the input value at X into slot perm(X xor C);
     inverse pulls it back."""
     if len(values) != 1 << pm.n:
         raise DimensionMismatch(f"{len(values)} values for N={pm.n}")
-    out: list[Fraction] = [ZERO] * len(values)
-    for x in subset_iter(pm.n):
-        y = pm.map_subset(x)
-        if inverse:
-            out[x] = values[y]
-        else:
-            out[y] = values[x]
+    table = pm.subset_table()
+    if inverse:
+        return tuple(values[y] for y in table)
+    out = list(values)
+    for x, y in enumerate(table):
+        out[y] = values[x]
     return tuple(out)
-
-
-def bounds_via_projection(m: MarginalSet) -> _bounds.BoundaryDistributions:
-    """Fréchet bounds for arbitrary marginals through the half-rare detour:
-    project, evaluate the half-rare closed forms, renumber back.  Agrees
-    exactly with the general formulas."""
-    if m.n > 20:
-        raise TooLarge(f"N={m.n}")
-    h, pm = half_rare_projection(m)
-    lower = tuple(_bounds.lower_bound_half_rare(x, h) for x in subset_iter(m.n))
-    upper = tuple(_bounds.upper_bound_half_rare(x, h) for x in subset_iter(m.n))
-    return _bounds.BoundaryDistributions(
-        m.events,
-        apply_phenomenon(lower, pm, inverse=True),
-        apply_phenomenon(upper, pm, inverse=True),
-    )

@@ -19,15 +19,33 @@ from halfrare import (
     upper_bound_general,
     upper_bound_half_rare,
 )
-from halfrare.core import TerraceDistribution, default_event_set
+from halfrare.core import (
+    TerraceDistribution,
+    default_event_set,
+    make_event_set,
+    validate_marginals,
+)
 from halfrare.errors import IndexOutOfRange, MarginalMismatch, NotHalfRare
 
-from conftest import half_rare_sets, marginal_sets
+from conftest import half_rare_sets, marginal_sets, unit_fraction
 
 F = Fraction
 
 FIG_DOUBLET = marginals_from_values(["0.45", "0.40"])
 FIG_PENTAPLET = marginals_from_values(["0.45", "0.40", "0.35", "0.30", "0.25"])
+
+
+@st.composite
+def tied_marginal_sets(draw, max_n=10):
+    """Marginal sets of up to 10 events that often repeat a probability and
+    often hit 0, 1/2 or 1, where the projection's complements and sort ties
+    decide the renumbering."""
+    edges = st.sampled_from([F(0), F(1, 2), F(1)])
+    pool = draw(st.lists(edges | unit_fraction, min_size=1, max_size=3))
+    probs = draw(st.lists(
+        st.sampled_from(pool) | edges | unit_fraction, min_size=1, max_size=max_n
+    ))
+    return marginals_from_values(probs)
 
 
 class TestGeneralFormulas:
@@ -114,12 +132,28 @@ class TestBoundaryDistributions:
         assert bd.lower[0] == bd.upper[0] == 1
         assert all(bd.lower[x] == bd.upper[x] == 0 for x in range(1, 8))
 
-    @given(half_rare_sets())
-    def test_fast_path_matches_general(self, h):
-        fast = boundary_distributions(h.inner)
-        slow = boundary_distributions(h.inner, force_general=True)
-        assert fast.lower == slow.lower
-        assert fast.upper == slow.upper
+    def test_non_half_rare_example(self):
+        bd = boundary_distributions(marginals_from_values(["0.7", "0.4"]))
+        assert bd.lower[1] == F(3, 10)
+
+    def test_deterministic_events(self):
+        bd = boundary_distributions(marginals_from_values([1, 0]))
+        assert bd.lower[1] == bd.upper[1] == 1
+
+    @given(tied_marginal_sets())
+    def test_matches_general_formulas_on_every_subset(self, m):
+        bd = boundary_distributions(m)
+        for x in subset_iter(m.n):
+            assert bd.lower[x] == lower_bound_general(x, m)
+            assert bd.upper[x] == upper_bound_general(x, m)
+
+    def test_labels_play_no_part(self):
+        # Projecting would label both events "a^c"; the bounds never build
+        # those labels.
+        m = validate_marginals(make_event_set(("a", "a^c")), (F(7, 10), F(3, 10)))
+        bd = boundary_distributions(m)
+        assert bd.lower == tuple(lower_bound_general(x, m) for x in subset_iter(2))
+        assert bd.upper == tuple(upper_bound_general(x, m) for x in subset_iter(2))
 
     @given(marginal_sets())
     def test_sandwich_and_sum_envelope(self, m):

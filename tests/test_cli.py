@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import halfrare
 from halfrare.cli import main
 
 F = Fraction
@@ -84,11 +89,6 @@ class TestBoundsCommand:
         _, first, _ = run(capsys, "bounds", "-p", "0.45,0.40", "--format", "json")
         _, second, _ = run(capsys, "bounds", "-p", "0.45,0.40", "--format", "json")
         assert first == second
-
-    def test_general_flag_matches_fast_path(self, capsys):
-        _, fast, _ = run(capsys, "bounds", "-p", "0.45,0.40", "--format", "json")
-        _, slow, _ = run(capsys, "bounds", "-p", "0.45,0.40", "--format", "json", "--general")
-        assert fast == slow
 
 
 class TestVerifyCommand:
@@ -192,3 +192,46 @@ class TestPhenomenonCommand:
             assert phen_rows[subset][2] == row[2]  # lower
             assert phen_rows[subset][3] == row[3]  # star
             assert phen_rows[subset][4] == row[4]  # upper
+
+
+@pytest.mark.parametrize(
+    "argv, doc, code",
+    [
+        (["bounds", "-p", "0.45,0.40", "--digits", "-1"], None, 2),
+        (["phenomenon", "-p", "0.45,0.40", "--kept", "x1", "--digits", "-1"], None, 2),
+        (["verify", "--random", "-2"], None, 2),
+        (["figure", "-p", "0.45,0.40", "--width", "0"], None, 3),
+        (["figure", "-p", "0.45,0.40", "--height", "44"], None, 3),
+        (["bounds", "-i", "DOC"], {"events": [1, 2], "probabilities": ["0.45", "0.4"]}, 2),
+        (["bounds", "-i", "DOC"], {"events": "ab", "probabilities": ["0.45", "0.4"]}, 2),
+        (["bounds", "-i", "DOC"], {"events": ["a"], "probabilities": "1"}, 2),
+        (["phenomenon", "-p", "0.45,0.40", "--kept", "x1,x1"], None, 3),
+        (["bounds", "-p", "0.45,0.40", "--general"], None, 2),
+    ],
+    ids=[
+        "bounds-digits-negative",
+        "phenomenon-digits-negative",
+        "verify-random-negative",
+        "figure-width-zero",
+        "figure-no-plot-height",
+        "events-not-strings",
+        "events-a-string",
+        "probabilities-a-string",
+        "kept-repeated-label",
+        "general-flag-removed",
+    ],
+)
+def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):
+    # A fresh process, so that an uncaught exception shows as a traceback.
+    if doc is not None:
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+    argv = [str(tmp_path / "doc.json") if a == "DOC" else a for a in argv]
+    if argv[0] == "figure":
+        argv += ["--out", str(tmp_path / "fig.svg")]
+    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "halfrare", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "fig.svg").exists()

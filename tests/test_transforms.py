@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from halfrare import (
     apply_phenomenon,
-    boundary_distributions,
-    bounds_via_projection,
     half_rare_projection,
     independent_epd,
     independent_value,
@@ -62,6 +60,13 @@ class TestHalfRareProjection:
         assert h.probs == m.probs
         assert pm.is_identity()
 
+    def test_labels_follow_the_map(self):
+        m = marginals_from_values(["0.7", "0.4"])
+        pm = identity_phenomenon(2, kept=0b10)
+        t = pm.map_marginals(m)
+        assert t.events.labels == ("x1^c", "x2")
+        assert t.probs == pm.map_probs(m.probs) == (F(3, 10), F(2, 5))
+
     def test_half_is_kept(self):
         m = marginals_from_values([F(1, 2), F(1, 2)])
         h, pm = half_rare_projection(m)
@@ -115,33 +120,17 @@ class TestApplyPhenomenon:
         assert sorted(out) == sorted(values)
         assert apply_phenomenon(out, pm, inverse=True) == values
 
+    @given(st.integers(min_value=1, max_value=6), st.data())
+    def test_subset_table_matches_definition(self, n, data):
+        pm = data.draw(phenomenon_maps(n))
+        table = pm.subset_table()
+        for x in subset_iter(n):
+            w = x ^ pm.complemented
+            assert table[x] == sum(1 << j for j, i in enumerate(pm.order) if (w >> i) & 1)
+
     @given(marginal_sets())
     def test_commutes_with_independence(self, m):
         h, pm = half_rare_projection(m)
         direct = independent_epd(h.inner).values
         transported = apply_phenomenon(independent_epd(m).values, pm)
         assert direct == transported
-
-
-class TestBoundsViaProjection:
-    def test_non_half_rare_example(self):
-        m = marginals_from_values(["0.7", "0.4"])
-        bd = bounds_via_projection(m)
-        assert bd.lower[1] == F(3, 10)
-
-    def test_identity_on_half_rare(self):
-        m = marginals_from_values(["0.45", "0.40"])
-        bd = bounds_via_projection(m)
-        ref = boundary_distributions(m)
-        assert bd.lower == ref.lower and bd.upper == ref.upper
-
-    def test_deterministic_events(self):
-        bd = bounds_via_projection(marginals_from_values([1, 0]))
-        assert bd.lower[1] == bd.upper[1] == 1
-
-    @given(marginal_sets())
-    def test_agrees_with_general_formulas(self, m):
-        bd = bounds_via_projection(m)
-        ref = boundary_distributions(m, force_general=True)
-        assert bd.lower == ref.lower
-        assert bd.upper == ref.upper
