@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Sweep the LP oracle over many random marginal sets and summarize sharpness.
+"""Sweep the LP oracle over many random marginal sets and summarize sharpness,
+one line per N (sets run, sets sharp, seconds) and a total line.
 
 Usage: python3 scripts/verification_sweep.py [--count 100] [--n-min 2]
        [--n-max 5] [--seed 0]
@@ -21,22 +22,28 @@ def main() -> int:
     args = ap.parse_args()
 
     span = args.n_max - args.n_min + 1
-    start = time.perf_counter()
-    failures = 0
+    per_n = {}  # N -> [sets run, sets sharp, seconds]
     for k in range(args.count):
         n = args.n_min + k % span
+        start = time.perf_counter()
         m = random_marginals(n, args.seed + k, half_rare=k % 2 == 0)
         rep = verify_bounds(m)
+        stats = per_n.setdefault(n, [0, 0, 0.0])
+        stats[0] += 1
+        stats[1] += rep.verdict
+        stats[2] += time.perf_counter() - start
         if not rep.verdict:
-            failures += 1
             bad = rep.first_mismatch()
             print(f"MISMATCH n={n} seed={args.seed + k} subset={bad.subset}: "
                   f"closed [{bad.closed_form_lower}, {bad.closed_form_upper}] "
                   f"vs LP [{bad.lp_min}, {bad.lp_max}]")
-    elapsed = time.perf_counter() - start
-    print(f"{args.count - failures}/{args.count} instances sharp "
+    for n, (run, sharp, seconds) in sorted(per_n.items()):
+        print(f"N={n}: {sharp}/{run} sharp ({seconds:.1f}s)")
+    sharp = sum(stats[1] for stats in per_n.values())
+    elapsed = sum(stats[2] for stats in per_n.values())
+    print(f"{sharp}/{args.count} instances sharp "
           f"({elapsed:.1f}s, N in [{args.n_min}, {args.n_max}])")
-    return 1 if failures else 0
+    return 0 if sharp == args.count else 1
 
 
 if __name__ == "__main__":

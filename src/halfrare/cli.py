@@ -37,6 +37,10 @@ EXIT_VALIDATION = 3
 EXIT_VERIFY = 4
 EXIT_IO = 5
 
+#: Largest --digits: Python's smallest settable integer string limit, so a
+#: decimal never trips the limit; --exact gives full precision.
+MAX_DIGITS = 640
+
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -239,15 +243,22 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def digit_count(text: str) -> int:
+    value = non_negative_int(text)
+    if value > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_DIGITS}, got {value}; use --exact")
+    return value
+
+
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("-p", "--probs", help="comma list of probabilities, events auto-named x1..xN")
     p.add_argument("-i", "--input", help="JSON file with events and probabilities")
 
 
-def _add_format_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+def _add_number_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--exact", action="store_true", help="print fractions instead of decimals")
-    p.add_argument("--digits", type=non_negative_int, default=6, help="decimal rendering digits")
+    p.add_argument("--digits", type=digit_count, default=6,
+                   help=f"decimal rendering digits, 0..{MAX_DIGITS}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="per-subset lower/independent/upper table")
     _add_input_args(p)
-    _add_format_args(p)
+    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    _add_number_args(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="LP sharpness verification report")
@@ -280,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phenomenon", help="complement events outside a kept set")
     _add_input_args(p)
-    _add_format_args(p)
+    _add_number_args(p)
     p.add_argument("--kept", required=True,
                    help="comma list of labels left uncomplemented; may be empty")
     p.set_defaults(func=cmd_phenomenon)

@@ -40,10 +40,6 @@ class MarginalMismatch(EventologyError):
     pass
 
 
-class DimensionMismatch(EventologyError):
-    pass
-
-
 class Infeasible(EventologyError):
-    """The LP reported no feasible joint; impossible for valid marginals,
-    so this always signals an implementation bug."""
+    """The simplex found an unbounded direction.  The LP starts at a feasible
+    vertex of a bounded polytope, so this always signals an implementation bug."""

@@ -2,9 +2,11 @@
 
 Each terrace probability is extremized over the polytope of joint
 distributions with the given marginals (2^N atom variables, N+1 equality
-constraints, atoms >= 0).  The solver is a dense two-phase simplex over
-exact rationals with Bland's rule, so optima compare to the closed forms by
-exact equality and every reported witness is a true vertex of the polytope.
+constraints, atoms >= 0).  The solver is a dense one-phase simplex over exact
+rationals with Bland's rule.  It starts at the comonotone joint, a vertex built
+from the marginals alone, so no artificial basis is needed and the closed
+forms play no part in the search.  Optima compare to the closed forms by exact
+equality, and every reported witness is a vertex of the polytope.
 """
 
 from __future__ import annotations
@@ -124,44 +126,24 @@ def _simplex(tableau: list[list[Fraction]], basis: list[int], ncols: int) -> Non
         obj = tableau[-1]
 
 
-def _solve_min(c: list[Fraction], a: list[list[Fraction]], b: list[Fraction]) -> tuple[Fraction, list[Fraction]]:
-    """min c.x  s.t.  a x = b (b >= 0), x >= 0; returns optimum and a vertex."""
-    m, n = len(a), len(c)
-    # Phase 1: artificial basis, minimize sum of artificials.
-    tableau = [a[i][:] + [ONE if j == i else ZERO for j in range(m)] + [b[i]] for i in range(m)]
-    obj = [ZERO] * (n + m + 1)
-    for row in tableau:
-        for j in range(n):
-            obj[j] -= row[j]
-        obj[-1] -= row[-1]
-    tableau.append(obj)
-    basis = [n + i for i in range(m)]
-    _simplex(tableau, basis, n)
-    if tableau[-1][-1] != ZERO:
-        raise Infeasible("no joint distribution matches the marginals")
-    # Drive any degenerate artificials out of the basis.
-    for r in range(m):
-        if basis[r] >= n:
-            col = next((j for j in range(n) if tableau[r][j] != ZERO), -1)
-            if col >= 0:
-                _pivot(tableau, basis, r, col)
-    # Phase 2 on the original columns.
-    obj = [ZERO] * (n + m + 1)
-    for j, cj in enumerate(c):
-        obj[j] = cj
-    tableau[-1] = obj
-    for r in range(m):
-        j = basis[r]
-        f = tableau[-1][j]
-        if j < n and f:
-            tableau[-1] = [v - f * w for v, w in zip(tableau[-1], tableau[r])]
-    _simplex(tableau, basis, n)
-    x = [ZERO] * n
-    for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = tableau[r][-1]
-    value = sum((cj * xj for cj, xj in zip(c, x)), ZERO)
-    return value, x
+def _vertex_tableau(m: MarginalSet) -> tuple[list[list[Fraction]], list[int]]:
+    """Constraint rows [1 ... 1 | 1] and [indicator_i | p_i], pivoted onto the
+    comonotone joint: the chain of cells {} < {s1} < {s1, s2} < ... < full,
+    s sorting the events by descending p, with atoms p_(k) - p_(k+1) >= 0.
+
+    In the rows 0, 1 + s1, 1 + s2, ... the chain columns are unit upper
+    triangular, and pivoting down that diagonal leaves every later diagonal
+    entry at 1, so the basis is nonsingular and its solution feasible."""
+    ncells = 1 << m.n
+    tableau = [[ONE] * (ncells + 1)]
+    for i, p in enumerate(m.probs):
+        tableau.append([ONE if (w >> i) & 1 else ZERO for w in range(ncells)] + [p])
+    basis = [0] * (m.n + 1)  # row 0 already holds the empty cell's unit column
+    cell = 0
+    for i in sorted(range(m.n), key=lambda i: -m.probs[i]):
+        cell |= 1 << i
+        _pivot(tableau, basis, 1 + i, cell)
+    return tableau, basis
 
 
 def lp_extremize_terrace(
@@ -174,17 +156,19 @@ def lp_extremize_terrace(
     check_subset(x, m.n)
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
+    tableau, basis = _vertex_tableau(m)
     ncells = 1 << m.n
-    a = [[ONE] * ncells]
-    b = [ONE]
-    for i in range(m.n):
-        a.append([ONE if (w >> i) & 1 else ZERO for w in range(ncells)])
-        b.append(m.probs[i])
     sign = ONE if direction == "min" else -ONE
-    c = [ZERO] * ncells
-    c[x] = sign
-    value, atoms = _solve_min(c, a, b)
-    return sign * value, JointDistribution(m.events, tuple(atoms))
+    obj = [ZERO] * (ncells + 1)
+    obj[x] = sign
+    if x in basis:
+        obj = [v - sign * w for v, w in zip(obj, tableau[basis.index(x)])]
+    tableau.append(obj)
+    _simplex(tableau, basis, ncells)
+    atoms = [ZERO] * ncells
+    for r, j in enumerate(basis):
+        atoms[j] = tableau[r][-1]
+    return atoms[x], JointDistribution(m.events, tuple(atoms))
 
 
 def verify_bounds(m: MarginalSet) -> VerificationReport:

@@ -24,7 +24,7 @@ from .core import (
     make_event_set,
     validate_marginals,
 )
-from .errors import DimensionMismatch, TooLarge
+from .errors import LengthMismatch, TooLarge
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def apply_phenomenon(
     preserved.  Forward puts the input value at X into slot perm(X xor C);
     inverse pulls it back."""
     if len(values) != 1 << pm.n:
-        raise DimensionMismatch(f"{len(values)} values for N={pm.n}")
+        raise LengthMismatch(f"{len(values)} values for N={pm.n}")
     table = pm.subset_table()
     if inverse:
         return tuple(values[y] for y in table)

@@ -207,6 +207,8 @@ class TestPhenomenonCommand:
         (["bounds", "-i", "DOC"], {"events": ["a"], "probabilities": "1"}, 2),
         (["phenomenon", "-p", "0.45,0.40", "--kept", "x1,x1"], None, 3),
         (["bounds", "-p", "0.45,0.40", "--general"], None, 2),
+        (["bounds", "-p", "0.45,0.40", "--digits", "5000"], None, 2),
+        (["phenomenon", "-p", "0.45,0.40", "--kept", "x1", "--format", "json"], None, 2),
     ],
     ids=[
         "bounds-digits-negative",
@@ -219,6 +221,8 @@ class TestPhenomenonCommand:
         "probabilities-a-string",
         "kept-repeated-label",
         "general-flag-removed",
+        "digits-above-cap",
+        "phenomenon-format-removed",
     ],
 )
 def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):

@@ -73,22 +73,32 @@ def brute_force_extremes(x, m):
     return lo, hi
 
 
+def assert_lp_matches_brute_force(m):
+    for x in subset_iter(m.n):
+        bf_lo, bf_hi = brute_force_extremes(x, m)
+        assert lp_extremize_terrace(x, m, "min")[0] == bf_lo
+        assert lp_extremize_terrace(x, m, "max")[0] == bf_hi
+
+
 class TestSimplexAgainstBruteForce:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_instances(self, seed):
-        m = random_marginals(3, 9000 + seed, half_rare=seed % 2 == 0)
-        for x in subset_iter(m.n):
-            bf_lo, bf_hi = brute_force_extremes(x, m)
-            lp_lo, _ = lp_extremize_terrace(x, m, "min")
-            lp_hi, _ = lp_extremize_terrace(x, m, "max")
-            assert lp_lo == bf_lo
-            assert lp_hi == bf_hi
+        assert_lp_matches_brute_force(random_marginals(3, 9000 + seed, half_rare=seed % 2 == 0))
 
     def test_doublet(self):
-        for x in subset_iter(2):
-            bf_lo, bf_hi = brute_force_extremes(x, FIG_DOUBLET)
-            assert lp_extremize_terrace(x, FIG_DOUBLET, "min")[0] == bf_lo
-            assert lp_extremize_terrace(x, FIG_DOUBLET, "max")[0] == bf_hi
+        assert_lp_matches_brute_force(FIG_DOUBLET)
+
+    # Ties and probabilities at 0 or 1 make the comonotone start degenerate.
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            (0,), (F(1, 2),), (1,),
+            (0, 0, 0), (1, 1, 1), (F(1, 2),) * 3, (1, 0, F(1, 2)),
+            (F(1, 3), F(2, 3), F(1, 3)),
+        ],
+    )
+    def test_degenerate_instances(self, probs):
+        assert_lp_matches_brute_force(marginals_from_values(probs))
 
 
 class TestLpExtremize:
@@ -104,6 +114,8 @@ class TestLpExtremize:
                 assert sum(w.atoms) == 1
                 assert all(a >= 0 for a in w.atoms)
                 assert w[x] == v
+                # A vertex: at most one nonzero atom per constraint row.
+                assert sum(a != 0 for a in w.atoms) <= FIG_DOUBLET.n + 1
 
     def test_range_containment(self):
         m = random_marginals(4, 5)

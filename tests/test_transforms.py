@@ -12,7 +12,7 @@ from halfrare import (
     marginals_from_values,
     subset_iter,
 )
-from halfrare.errors import DimensionMismatch
+from halfrare.errors import LengthMismatch
 from halfrare.transforms import PhenomenonMap, identity_phenomenon
 
 from conftest import marginal_sets, unit_fraction
@@ -109,7 +109,7 @@ class TestApplyPhenomenon:
         assert apply_phenomenon(apply_phenomenon(d.values, pm), pm) == d.values
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(LengthMismatch):
             apply_phenomenon((F(1),), identity_phenomenon(2))
 
     @given(st.integers(min_value=1, max_value=5), st.data())
