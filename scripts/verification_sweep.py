@@ -11,15 +11,20 @@ import sys
 import time
 
 from halfrare import random_marginals, verify_bounds
+from halfrare.cli import non_negative_int
+from halfrare.oracle import MAX_LP_EVENTS
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--count", type=int, default=100)
+    ap.add_argument("--count", type=non_negative_int, default=100)
     ap.add_argument("--n-min", type=int, default=2)
     ap.add_argument("--n-max", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if not 1 <= args.n_min <= args.n_max <= MAX_LP_EVENTS:
+        ap.error(f"need 1 <= --n-min <= --n-max <= {MAX_LP_EVENTS}, "
+                 f"got {args.n_min} and {args.n_max}")
 
     span = args.n_max - args.n_min + 1
     per_n = {}  # N -> [sets run, sets sharp, seconds]

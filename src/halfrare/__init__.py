@@ -25,7 +25,6 @@ from .core import (
     validate_marginals,
 )
 from .oracle import (
-    JointDistribution,
     VerificationReport,
     lp_extremize_terrace,
     random_marginals,
@@ -46,7 +45,6 @@ __all__ = [
     "CovarianceBounds",
     "EventSet",
     "HalfRareMarginalSet",
-    "JointDistribution",
     "MarginalSet",
     "PhenomenonMap",
     "TerraceDistribution",

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    HALF,
     ONE,
     ZERO,
     EventSet,
@@ -30,7 +29,7 @@ from .core import (
     make_event_set,
     validate_marginals,
 )
-from .errors import MarginalMismatch, NotHalfRare
+from .errors import MarginalMismatch
 from .transforms import apply_phenomenon, half_rare_map, independent_value
 
 
@@ -108,11 +107,8 @@ def boundary_distributions(m: MarginalSet) -> BoundaryDistributions:
     )
 
 
-def _doublet_marginals(p_x: Fraction, p_y: Fraction) -> MarginalSet:
-    p_x, p_y = Fraction(p_x), Fraction(p_y)
-    if p_x > HALF or p_x < p_y or p_y < ZERO:
-        raise NotHalfRare(f"need 1/2 >= p_x >= p_y >= 0, got ({p_x}, {p_y})")
-    return validate_marginals(make_event_set(("x", "y")), (p_x, p_y))
+def _doublet_marginals(p_x: Fraction, p_y: Fraction) -> HalfRareMarginalSet:
+    return HalfRareMarginalSet(validate_marginals(make_event_set(("x", "y")), (p_x, p_y)))
 
 
 def doublet_bounds(p_x: Fraction, p_y: Fraction) -> BoundaryDistributions:

@@ -49,22 +49,20 @@ class CliError(Exception):
 
 
 def _load_marginals(args: argparse.Namespace) -> MarginalSet:
-    if getattr(args, "probs", None):
+    if args.probs:
         try:
             probs = [parse_probability(t) for t in args.probs.split(",")]
         except (ValueError, ZeroDivisionError) as e:
             raise CliError(EXIT_PARSE, f"cannot parse probability list {args.probs!r}: {e}")
+        return validate_marginals(default_event_set(len(probs)), probs)
+    if args.input:
         try:
-            return validate_marginals(default_event_set(len(probs)), probs)
-        except EventologyError as e:
-            raise CliError(EXIT_VALIDATION, str(e))
-    if getattr(args, "input", None):
-        try:
-            with open(args.input) as f:
+            with open(args.input, encoding="utf-8") as f:
                 doc = json.load(f)
         except OSError as e:
             raise CliError(EXIT_IO, f"cannot read {args.input}: {e}")
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
+            # Bad JSON syntax, bytes that are not UTF-8, or nesting too deep.
             raise CliError(EXIT_PARSE, f"invalid JSON in {args.input}: {e}")
         try:
             labels = doc["events"]
@@ -82,50 +80,53 @@ def _load_marginals(args: argparse.Namespace) -> MarginalSet:
                 'and "probabilities" a list',
             )
         try:
-            return validate_marginals(make_event_set(labels), probs)
-        except EventologyError as e:
-            raise CliError(EXIT_VALIDATION, str(e))
+            "".join(labels).encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise CliError(EXIT_PARSE, f"malformed input document: an event label is not text: {e}")
+        return validate_marginals(make_event_set(labels), probs)
     raise CliError(EXIT_PARSE, "no marginals given: use -p or --input")
 
 
 def _fmt(args: argparse.Namespace) -> Callable[[Fraction], str]:
-    if getattr(args, "exact", False):
+    if args.exact:
         return format_exact
-    digits = getattr(args, "digits", 6)
-    return lambda q: format_decimal(q, digits)
+    return lambda q: format_decimal(q, args.digits)
 
 
 def _bound_rows(m: MarginalSet, fmt: Callable[[Fraction], str]):
+    """(indicator, labels, lower, star, upper) for each subset, one at a time."""
     bd = _bounds.boundary_distributions(m)
     star = _transforms.independent_epd(m)
     for x in subset_iter(m.n):
-        yield {
-            "subset": indicator_string(x, m.n),
-            "labels": list(subset_labels(x, m.events)),
-            "lower": fmt(bd.lower[x]),
-            "star": fmt(star[x]),
-            "upper": fmt(bd.upper[x]),
-        }
+        yield (
+            indicator_string(x, m.n),
+            subset_labels(x, m.events),
+            fmt(bd.lower[x]),
+            fmt(star[x]),
+            fmt(bd.upper[x]),
+        )
 
 
 def _emit_rows(m: MarginalSet, args: argparse.Namespace, out) -> None:
-    rows = list(_bound_rows(m, _fmt(args)))
+    rows = _bound_rows(m, _fmt(args))
     if args.format == "json":
+        rows = [
+            {"subset": s, "labels": list(labs), "lower": lower, "star": star, "upper": upper}
+            for s, labs, lower, star, upper in rows
+        ]
         json.dump({"N": m.n, "rows": rows}, out, indent=2)
         out.write("\n")
     elif args.format == "csv":
         out.write("subset,labels,lower,star,upper\n")
-        for r in rows:
-            out.write(
-                f"{r['subset']},{'+'.join(r['labels'])},{r['lower']},{r['star']},{r['upper']}\n"
-            )
+        for s, labs, lower, star, upper in rows:
+            out.write(f"{s},{'+'.join(labs)},{lower},{star},{upper}\n")
     else:
-        width = max(12, max(len("+".join(r["labels"])) for r in rows) + 2)
+        # The full set's label string is the longest one.
+        width = max(12, len("+".join(m.events.labels)) + 2)
         out.write(f"{'subset':<{m.n + 2}} {'labels':<{width}} {'lower':>12} {'star':>12} {'upper':>12}\n")
-        for r in rows:
+        for s, labs, lower, star, upper in rows:
             out.write(
-                f"{r['subset']:<{m.n + 2}} {'+'.join(r['labels']):<{width}} "
-                f"{r['lower']:>12} {r['star']:>12} {r['upper']:>12}\n"
+                f"{s:<{m.n + 2}} {'+'.join(labs):<{width}} {lower:>12} {star:>12} {upper:>12}\n"
             )
 
 
@@ -158,21 +159,13 @@ def _report_dict(report: _oracle.VerificationReport) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.random:
-        try:
-            instances = [
-                _oracle.random_marginals(args.n, args.seed + k, half_rare=args.half_rare)
-                for k in range(args.random)
-            ]
-        except EventologyError as e:
-            raise CliError(EXIT_VALIDATION, str(e))
+        instances = [
+            _oracle.random_marginals(args.n, args.seed + k, half_rare=args.half_rare)
+            for k in range(args.random)
+        ]
     else:
         instances = [_load_marginals(args)]
-    reports = []
-    for m in instances:
-        try:
-            reports.append(_oracle.verify_bounds(m))
-        except EventologyError as e:
-            raise CliError(EXIT_VALIDATION, str(e))
+    reports = [_oracle.verify_bounds(m) for m in instances]
     json.dump([_report_dict(r) for r in reports], sys.stdout, indent=2)
     sys.stdout.write("\n")
     for r in reports:
@@ -190,11 +183,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     m = _load_marginals(args)
-    try:
-        spec = _figure.FigureSpec(width_px=args.width, height_px=args.height)
-        svg = _figure.render_figure(m, spec)
-    except EventologyError as e:
-        raise CliError(EXIT_VALIDATION, str(e))
+    spec = _figure.FigureSpec(width_px=args.width, height_px=args.height)
+    svg = _figure.render_figure(m, spec)
     try:
         with open(args.out, "w") as f:
             f.write(svg)
@@ -213,26 +203,18 @@ def cmd_phenomenon(args: argparse.Namespace) -> int:
         if lab not in m.events.labels:
             raise CliError(EXIT_VALIDATION, f"unknown event label in --kept: {lab!r}")
         kept |= 1 << m.events.labels.index(lab)
-    try:
-        transformed = _transforms.identity_phenomenon(m.n, kept).map_marginals(m)
-    except EventologyError as e:
-        raise CliError(EXIT_VALIDATION, str(e))
+    transformed = _transforms.identity_phenomenon(m.n, kept).map_marginals(m)
     # Complementing p_c and renumbering X -> X xor C leave every bound
     # unchanged, so the transformed table is the table of the transformed
     # marginals.
     fmt = _fmt(args)
-    bd = _bounds.boundary_distributions(transformed)
-    star = _transforms.independent_epd(transformed)
     out = sys.stdout
     out.write("marginals: " + ", ".join(
         f"{lab}={fmt(p)}" for lab, p in zip(transformed.events.labels, transformed.probs)
     ) + "\n")
     out.write("subset labels lower star upper\n")
-    for x in subset_iter(m.n):
-        labs = "+".join(subset_labels(x, transformed.events)) or "-"
-        out.write(
-            f"{indicator_string(x, m.n)} {labs} {fmt(bd.lower[x])} {fmt(star[x])} {fmt(bd.upper[x])}\n"
-        )
+    for s, labs, lower, star, upper in _bound_rows(transformed, fmt):
+        out.write(f"{s} {'+'.join(labs) or '-'} {lower} {star} {upper}\n")
     return EXIT_OK
 
 
@@ -251,8 +233,10 @@ def digit_count(text: str) -> int:
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-p", "--probs", help="comma list of probabilities, events auto-named x1..xN")
-    p.add_argument("-i", "--input", help="JSON file with events and probabilities")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("-p", "--probs",
+                        help="comma list of probabilities, events auto-named x1..xN")
+    source.add_argument("-i", "--input", help="JSON file with events and probabilities")
 
 
 def _add_number_args(p: argparse.ArgumentParser) -> None:
@@ -307,6 +291,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except EventologyError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -1,5 +1,12 @@
-"""Foundational types: labeled event sets, bitmask subset indexing and exact
-rational marginals.
+"""Foundational types: labeled event sets, exact rational marginals, terrace
+distributions and bitmask subset indexing.
+
+Each type checks its own invariant once, when it is built, and code that holds
+one does not check it again: an `EventSet` has 1 to MAX_EVENTS distinct labels
+(the only dense size guard), a `MarginalSet` one probability in [0, 1] per
+event, and a `TerraceDistribution` 2^N nonnegative atoms summing to 1.
+`make_event_set`, `default_event_set` and `validate_marginals` only coerce
+their arguments to tuples and `Fraction`s.
 
 Probabilities are carried as `fractions.Fraction` everywhere; decimals are a
 rendering concern only.  Subsets of an N-event set are plain ints in
@@ -34,9 +41,17 @@ HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class EventSet:
-    """An ordered set of N distinctly labeled events."""
+    """An ordered set of 1 to MAX_EVENTS distinctly labeled events."""
 
     labels: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if not self.labels:
+            raise EmptySet("an event set needs at least one event")
+        if len(set(self.labels)) != len(self.labels):
+            raise DuplicateLabel(f"labels are not pairwise distinct: {self.labels}")
+        if len(self.labels) > MAX_EVENTS:
+            raise TooLarge(f"N={len(self.labels)} exceeds the dense cap {MAX_EVENTS}")
 
     @property
     def n(self) -> int:
@@ -49,19 +64,12 @@ class EventSet:
 
 
 def make_event_set(labels: Sequence[str]) -> EventSet:
-    labels = tuple(labels)
-    if not labels:
-        raise EmptySet("an event set needs at least one event")
-    if len(set(labels)) != len(labels):
-        raise DuplicateLabel(f"labels are not pairwise distinct: {labels}")
-    if len(labels) > MAX_EVENTS:
-        raise TooLarge(f"N={len(labels)} exceeds the dense cap {MAX_EVENTS}")
-    return EventSet(labels)
+    return EventSet(tuple(labels))
 
 
 def default_event_set(n: int) -> EventSet:
     """Events auto-named x1..xN."""
-    return make_event_set(tuple(f"x{i + 1}" for i in range(n)))
+    return EventSet(tuple(f"x{i + 1}" for i in range(n)))
 
 
 def check_subset(x: int, n: int) -> None:
@@ -87,8 +95,6 @@ def subset_from_indicator(s: str) -> int:
 
 def subset_iter(n: int) -> Iterator[int]:
     """All 2^N subsets in ascending bitmask order: empty set first, full set last."""
-    if n > MAX_EVENTS:
-        raise TooLarge(f"N={n} exceeds the dense cap {MAX_EVENTS}")
     return iter(range(1 << n))
 
 
@@ -103,10 +109,17 @@ def parse_probability(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class MarginalSet:
-    """Per-event probabilities for an ordered event set."""
+    """Per-event probabilities for an ordered event set, each in [0, 1]."""
 
     events: EventSet
     probs: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.probs) != self.events.n:
+            raise LengthMismatch(f"{len(self.probs)} probabilities for {self.events.n} events")
+        for i, p in enumerate(self.probs):
+            if not ZERO <= p <= ONE:
+                raise ProbabilityOutOfRange(i, p)
 
     @property
     def n(self) -> int:
@@ -118,19 +131,13 @@ class MarginalSet:
 
 
 def validate_marginals(events: EventSet, probs: Sequence[Fraction]) -> MarginalSet:
-    probs = tuple(Fraction(p) for p in probs)
-    if len(probs) != events.n:
-        raise LengthMismatch(f"{len(probs)} probabilities for {events.n} events")
-    for i, p in enumerate(probs):
-        if not ZERO <= p <= ONE:
-            raise ProbabilityOutOfRange(i, p)
-    return MarginalSet(events, probs)
+    return MarginalSet(events, tuple(Fraction(p) for p in probs))
 
 
 def marginals_from_values(values: Sequence) -> MarginalSet:
     """Convenience: auto-named events with probabilities given as Fractions,
     strings or ints."""
-    probs = tuple(Fraction(v) for v in values)
+    probs = tuple(values)
     return validate_marginals(default_event_set(len(probs)), probs)
 
 
@@ -166,31 +173,32 @@ class HalfRareMarginalSet:
 
 @dataclass(frozen=True)
 class TerraceDistribution:
-    """Dense map from every subset X to the probability that exactly the
-    events in X occur; sums to 1 exactly."""
+    """A joint distribution of the events: the probability `atoms[X]` that
+    exactly the events in X occur, for every subset X.  Atoms are
+    nonnegative and sum to 1 exactly, so each also lies in [0, 1]."""
 
     events: EventSet
-    values: tuple[Fraction, ...]
+    atoms: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != 1 << self.events.n:
+        if len(self.atoms) != 1 << self.events.n:
             raise LengthMismatch(
-                f"{len(self.values)} values for N={self.events.n} (need {1 << self.events.n})"
+                f"{len(self.atoms)} atoms for N={self.events.n} (need {1 << self.events.n})"
             )
-        for x, v in enumerate(self.values):
-            if not ZERO <= v <= ONE:
-                raise ProbabilityOutOfRange(x, v)
-        if sum(self.values) != ONE:
-            raise ProbabilityOutOfRange("total", sum(self.values))
+        for x, a in enumerate(self.atoms):
+            if a < ZERO:
+                raise ProbabilityOutOfRange(x, a)
+        if sum(self.atoms) != ONE:
+            raise ProbabilityOutOfRange("total", sum(self.atoms))
 
     def __getitem__(self, x: int) -> Fraction:
         check_subset(x, self.events.n)
-        return self.values[x]
+        return self.atoms[x]
 
     def induced_marginals(self) -> tuple[Fraction, ...]:
         n = self.events.n
         return tuple(
-            sum((v for x, v in enumerate(self.values) if (x >> i) & 1), ZERO)
+            sum((a for x, a in enumerate(self.atoms) if (x >> i) & 1), ZERO)
             for i in range(n)
         )
 

@@ -6,7 +6,9 @@ constraints, atoms >= 0).  The solver is a dense one-phase simplex over exact
 rationals with Bland's rule.  It starts at the comonotone joint, a vertex built
 from the marginals alone, so no artificial basis is needed and the closed
 forms play no part in the search.  Optima compare to the closed forms by exact
-equality, and every reported witness is a vertex of the polytope.
+equality, and every reported witness is a vertex of the polytope, returned as
+a `TerraceDistribution`.  `lp_extremize_terrace` is the one place the LP cap
+MAX_LP_EVENTS is checked.
 """
 
 from __future__ import annotations
@@ -18,47 +20,19 @@ from fractions import Fraction
 from .bounds import boundary_distributions
 from .core import (
     HALF,
-    MAX_EVENTS,
     ONE,
     ZERO,
-    EventSet,
     MarginalSet,
+    TerraceDistribution,
     check_subset,
     default_event_set,
     subset_iter,
     validate_marginals,
 )
-from .errors import Infeasible, LengthMismatch, ProbabilityOutOfRange, TooLarge
+from .errors import Infeasible, TooLarge
 
 #: LP cap: 2^N atom variables keeps the tableau at most 64 columns wide.
 MAX_LP_EVENTS = 6
-
-
-@dataclass(frozen=True)
-class JointDistribution:
-    """A feasible point of the marginal polytope: one atom per terrace cell."""
-
-    events: EventSet
-    atoms: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.atoms) != 1 << self.events.n:
-            raise LengthMismatch(f"{len(self.atoms)} atoms for N={self.events.n}")
-        for x, a in enumerate(self.atoms):
-            if a < ZERO:
-                raise ProbabilityOutOfRange(x, a)
-        if sum(self.atoms) != ONE:
-            raise ProbabilityOutOfRange("total", sum(self.atoms))
-
-    def __getitem__(self, x: int) -> Fraction:
-        return self.atoms[x]
-
-    def induced_marginals(self) -> tuple[Fraction, ...]:
-        n = self.events.n
-        return tuple(
-            sum((a for x, a in enumerate(self.atoms) if (x >> i) & 1), ZERO)
-            for i in range(n)
-        )
 
 
 @dataclass(frozen=True)
@@ -68,8 +42,8 @@ class SubsetRecord:
     lp_min: Fraction
     closed_form_upper: Fraction
     lp_max: Fraction
-    witness_min: JointDistribution
-    witness_max: JointDistribution
+    witness_min: TerraceDistribution
+    witness_max: TerraceDistribution
 
     @property
     def matches(self) -> bool:
@@ -148,7 +122,7 @@ def _vertex_tableau(m: MarginalSet) -> tuple[list[list[Fraction]], list[int]]:
 
 def lp_extremize_terrace(
     x: int, m: MarginalSet, direction: str
-) -> tuple[Fraction, JointDistribution]:
+) -> tuple[Fraction, TerraceDistribution]:
     """Exact optimum of atom(X) over all joints with marginals m, plus an
     attaining witness.  `direction` is "min" or "max"."""
     if m.n > MAX_LP_EVENTS:
@@ -168,28 +142,28 @@ def lp_extremize_terrace(
     atoms = [ZERO] * ncells
     for r, j in enumerate(basis):
         atoms[j] = tableau[r][-1]
-    return atoms[x], JointDistribution(m.events, tuple(atoms))
+    return atoms[x], TerraceDistribution(m.events, tuple(atoms))
 
 
 def verify_bounds(m: MarginalSet) -> VerificationReport:
     """Compare the LP optimum of every terrace cell, both directions, with the
     closed-form bounds; the verdict passes only on exact equality throughout."""
-    if m.n > MAX_LP_EVENTS:
-        raise TooLarge(f"N={m.n} exceeds the LP cap {MAX_LP_EVENTS}")
+    # The LPs run first, so an N over the LP cap fails before any dense work.
+    optima = [
+        (lp_extremize_terrace(x, m, "min"), lp_extremize_terrace(x, m, "max"))
+        for x in subset_iter(m.n)
+    ]
     bd = boundary_distributions(m)
-    records = []
-    for x in subset_iter(m.n):
-        lo, wit_lo = lp_extremize_terrace(x, m, "min")
-        hi, wit_hi = lp_extremize_terrace(x, m, "max")
-        records.append(SubsetRecord(x, bd.lower[x], lo, bd.upper[x], hi, wit_lo, wit_hi))
-    return VerificationReport(m, tuple(records))
+    return VerificationReport(m, tuple(
+        SubsetRecord(x, bd.lower[x], lo, bd.upper[x], hi, wit_lo, wit_hi)
+        for x, ((lo, wit_lo), (hi, wit_hi)) in enumerate(optima)
+    ))
 
 
 def random_marginals(n: int, seed: int, half_rare: bool = False) -> MarginalSet:
     """Deterministic random marginals with denominators <= 1000; the half-rare
     variant clamps to [0, 1/2] and sorts descending."""
-    if not 1 <= n <= MAX_EVENTS:
-        raise TooLarge(f"N={n} not in [1, {MAX_EVENTS}]")
+    events = default_event_set(n)
     rng = random.Random(seed)
     probs = []
     for _ in range(n):
@@ -197,4 +171,4 @@ def random_marginals(n: int, seed: int, half_rare: bool = False) -> MarginalSet:
         probs.append(Fraction(rng.randint(0, den), den))
     if half_rare:
         probs = sorted((min(p, HALF) for p in probs), reverse=True)
-    return validate_marginals(default_event_set(n), tuple(probs))
+    return validate_marginals(events, probs)

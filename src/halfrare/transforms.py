@@ -16,7 +16,6 @@ from typing import Sequence
 
 from .core import (
     HALF,
-    MAX_EVENTS,
     ONE,
     HalfRareMarginalSet,
     MarginalSet,
@@ -24,7 +23,7 @@ from .core import (
     make_event_set,
     validate_marginals,
 )
-from .errors import LengthMismatch, TooLarge
+from .errors import LengthMismatch
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,6 @@ def independent_value(x: int, m: MarginalSet) -> Fraction:
 
 def independent_epd(m: MarginalSet) -> TerraceDistribution:
     """Dense terrace distribution of the independent projection."""
-    if m.n > MAX_EVENTS:
-        raise TooLarge(f"N={m.n}")
     # Tensor-product fill: one factor per event instead of N products per cell.
     values = [ONE]
     for p in m.probs:

@@ -104,7 +104,7 @@ def test_criterion_6_sandwich_and_normalization():
         m = random_marginals(1 + k % 10, 60_000 + k)
         bd = boundary_distributions(m)
         star = independent_epd(m)
-        if sum(star.values) != 1:
+        if sum(star.atoms) != 1:
             ok = False
         for x in subset_iter(m.n):
             if not bd.lower[x] <= star[x] <= bd.upper[x]:

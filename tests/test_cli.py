@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import halfrare
 from halfrare.cli import main
@@ -209,6 +214,11 @@ class TestPhenomenonCommand:
         (["bounds", "-p", "0.45,0.40", "--general"], None, 2),
         (["bounds", "-p", "0.45,0.40", "--digits", "5000"], None, 2),
         (["phenomenon", "-p", "0.45,0.40", "--kept", "x1", "--format", "json"], None, 2),
+        (["bounds", "-i", "DOC"], b'{"events": ["\xff"], "probabilities": ["0.4"]}', 2),
+        (["bounds", "-i", "DOC", "-p", "0.3"], {"events": ["a"], "probabilities": ["0.4"]}, 2),
+        (["verify", "-p", "0.3", "-i", "DOC"], {"events": ["a"], "probabilities": ["0.4"]}, 2),
+        (["bounds", "-i", "DOC"], b"[" * 100_000 + b"]" * 100_000, 2),
+        (["bounds", "-i", "DOC"], {"events": ["\ud800"], "probabilities": ["0.4"]}, 2),
     ],
     ids=[
         "bounds-digits-negative",
@@ -223,11 +233,18 @@ class TestPhenomenonCommand:
         "general-flag-removed",
         "digits-above-cap",
         "phenomenon-format-removed",
+        "input-not-utf8",
+        "bounds-input-and-probs",
+        "verify-probs-and-input",
+        "input-nested-too-deep",
+        "label-lone-surrogate",
     ],
 )
 def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):
     # A fresh process, so that an uncaught exception shows as a traceback.
-    if doc is not None:
+    if isinstance(doc, bytes):
+        (tmp_path / "doc.json").write_bytes(doc)
+    elif doc is not None:
         (tmp_path / "doc.json").write_text(json.dumps(doc))
     argv = [str(tmp_path / "doc.json") if a == "DOC" else a for a in argv]
     if argv[0] == "figure":
@@ -239,3 +256,149 @@ def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "fig.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n-min", "3", "--n-max", "2"],
+        ["--n-min", "3", "--n-max", "1"],
+        ["--n-min", "7", "--n-max", "7"],
+        ["--n-min", "0", "--n-max", "2"],
+        ["--count", "-1"],
+    ],
+    ids=["empty-range", "reversed-range", "over-lp-cap", "n-min-zero", "negative-count"],
+)
+def test_sweep_rejects_bad_ranges(argv):
+    script = Path(__file__).parents[1] / "scripts" / "verification_sweep.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, str(script), *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("verification_sweep.py: error:")
+
+
+# Numbers as the CLI reads them.  Exponents stay within +-30: an exponent e
+# gives every value a 10^|e| denominator, so run time grows with |e|
+# (1e-2000000 takes seconds), which is slow, not wrong.
+_probability = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=40).map(str),
+    st.builds("0.{:02d}".format, st.integers(0, 99)),
+)
+_number = st.one_of(
+    _probability,
+    st.fractions(min_value=-1, max_value=2, max_denominator=40).map(str),
+    st.builds("{}e{}".format, st.integers(-10**4, 10**4), st.integers(-30, 30)),
+    st.builds("{}/{}".format, st.integers(-3, 9), st.integers(-1, 9)),
+    st.sampled_from(["0.45", "nan", "inf", "", " ", "zebra", "1_0", "0x1"]),
+)
+# Lone surrogates are valid JSON escapes but cannot be written as UTF-8.
+_text_label = st.one_of(
+    st.sampled_from(["x1", "x2", "a", "é", "", "\ud800", "a\udcff"]), st.text(max_size=3)
+)
+_label = _text_label | st.integers() | st.none()
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+_document = st.one_of(
+    st.integers(1, 4).flatmap(lambda n: st.fixed_dictionaries(
+        {
+            "events": st.lists(_text_label, min_size=n, max_size=n),
+            "probabilities": st.lists(_probability, min_size=n, max_size=n),
+        }
+    )).map(lambda d: json.dumps(d).encode()),
+    st.fixed_dictionaries(
+        {
+            "events": st.one_of(st.lists(_label, max_size=4), _json),
+            "probabilities": st.one_of(st.lists(_number | _json, max_size=4), _json),
+        }
+    ).map(lambda d: json.dumps(d).encode()),
+    _json.map(lambda d: json.dumps(d).encode()),
+    st.binary(max_size=40),
+)
+# No 'h' anywhere, so no token abbreviates --help (which exits 0).
+_junk = st.text(alphabet="-abc,/.=0123456789x", max_size=6)
+
+
+def _value(valid):
+    """Mostly a valid option value, sometimes junk."""
+    return st.one_of(valid, valid, valid, _junk)
+
+
+_command_args = {
+    "bounds": [
+        st.just(["--exact"]),
+        st.tuples(st.just("--format"), st.sampled_from(["table", "json", "csv", "xml"])).map(list),
+        st.tuples(st.just("--digits"), _value(st.integers(-2, 700).map(str))).map(list),
+    ],
+    "verify": [
+        # A few sets at most: each one solves 2^(N+1) LPs.
+        st.tuples(st.just("--random"), st.sampled_from(["-1", "0", "1", "3", "", "1.5"])).map(list),
+        st.tuples(st.just("--n"), st.sampled_from(["-1", "0", "1", "3", "4", "7", "21"])).map(list),
+        st.just(["--half-rare"]),
+        st.tuples(st.just("--seed"), st.integers().map(str)).map(list),
+    ],
+    "figure": [
+        st.tuples(st.just("--width"), _value(st.integers(-10, 900).map(str))).map(list),
+        st.tuples(st.just("--height"), _value(st.integers(-10, 900).map(str))).map(list),
+    ],
+    "phenomenon": [
+        st.just(["--exact"]),
+        st.tuples(st.just("--digits"), _value(st.integers(-2, 12).map(str))).map(list),
+    ],
+}
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(st.sampled_from(sorted(_command_args)))
+    argv = [command]
+    source = draw(st.sampled_from(["p", "i"] * 4 + ["both", "none"]))
+    if source in ("p", "both"):
+        probs = st.lists(_probability, min_size=1, max_size=4) | st.lists(_number, max_size=4)
+        argv += ["-p", ",".join(draw(probs))]
+    if source in ("i", "both"):
+        argv += ["-i", "DOC"]
+    if command == "figure":
+        argv += ["--out", draw(st.sampled_from(["OUT", "OUT", "OUT", "", "NODIR"]))]
+    if command == "phenomenon":
+        kept = draw(st.lists(st.sampled_from(["x1", "x2", "x4", "x9", "a", ""]), max_size=3))
+        argv += ["--kept", ",".join(kept)]
+    for args in draw(st.lists(st.one_of(_command_args[command]), max_size=3)):
+        argv += args
+    if draw(st.sampled_from([False] * 9 + [True])):
+        argv.append(draw(_junk))
+    return argv, draw(_document)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(_invocations())
+def test_fuzz_exit_codes(invocation):
+    argv, doc = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_path = os.path.join(tmp, "doc.json")
+        with open(doc_path, "wb") as f:
+            f.write(doc)
+        names = {
+            "DOC": doc_path,
+            "OUT": os.path.join(tmp, "fig.svg"),
+            "NODIR": os.path.join(tmp, "nosuchdir", "fig.svg"),
+        }
+        argv = [names.get(a, a) for a in argv]
+        # A strict UTF-8 stream, as a terminal's stdout is.
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                assert e.code == 2  # argparse rejected argv
+                return
+            stdout.flush()
+    assert code in {0, 2, 3, 4, 5}

@@ -52,6 +52,14 @@ class TestEventSet:
             make_event_set([f"x{i}" for i in range(21)])
         make_event_set([f"x{i}" for i in range(20)])  # cap itself is fine
 
+    def test_direct_construction_checks(self):
+        with pytest.raises(EmptySet):
+            EventSet(())
+        with pytest.raises(DuplicateLabel):
+            EventSet(("x", "x"))
+        with pytest.raises(TooLarge):
+            EventSet(tuple(f"x{i}" for i in range(21)))
+
 
 class TestMarginals:
     def test_valid_doublet(self):
@@ -61,6 +69,13 @@ class TestMarginals:
     def test_out_of_range(self):
         with pytest.raises(ProbabilityOutOfRange):
             validate_marginals(make_event_set(["x"]), [Fraction(3, 2)])
+
+    def test_direct_construction_checks(self):
+        es = make_event_set(["x"])
+        with pytest.raises(ProbabilityOutOfRange):
+            MarginalSet(es, (Fraction(3, 2),))
+        with pytest.raises(LengthMismatch):
+            MarginalSet(es, (Fraction(1, 2), Fraction(1, 2)))
 
     def test_all_zero_is_valid(self):
         m = marginals_from_values([0, 0, 0])

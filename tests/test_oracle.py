@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfrare import (
+    TerraceDistribution,
     boundary_distributions,
     lp_extremize_terrace,
     marginals_from_values,
@@ -19,7 +20,6 @@ from halfrare import (
     verify_bounds,
 )
 from halfrare.errors import IndexOutOfRange, TooLarge
-from halfrare.oracle import JointDistribution
 
 from conftest import marginal_sets
 
@@ -110,6 +110,7 @@ class TestLpExtremize:
         for x in subset_iter(2):
             for direction in ("min", "max"):
                 v, w = lp_extremize_terrace(x, FIG_DOUBLET, direction)
+                assert isinstance(w, TerraceDistribution)
                 assert w.induced_marginals() == FIG_DOUBLET.probs
                 assert sum(w.atoms) == 1
                 assert all(a >= 0 for a in w.atoms)
@@ -191,14 +192,3 @@ class TestRandomMarginals:
     def test_sweep_passes(self):
         for seed in range(10):
             assert verify_bounds(random_marginals(5, seed, half_rare=True)).verdict
-
-
-class TestJointDistribution:
-    def test_validation(self):
-        from halfrare.core import default_event_set
-        from halfrare.errors import ProbabilityOutOfRange
-
-        with pytest.raises(ProbabilityOutOfRange):
-            JointDistribution(default_event_set(1), (F(3, 2), F(-1, 2)))
-        with pytest.raises(ProbabilityOutOfRange):
-            JointDistribution(default_event_set(1), (F(1, 3), F(1, 3)))

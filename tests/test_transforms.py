@@ -23,21 +23,21 @@ F = Fraction
 class TestIndependentEpd:
     def test_fig_doublet(self):
         d = independent_epd(marginals_from_values(["0.45", "0.40"]))
-        assert d.values == (F(33, 100), F(27, 100), F(11, 50), F(9, 50))
+        assert d.atoms == (F(33, 100), F(27, 100), F(11, 50), F(9, 50))
 
     def test_impossible_events(self):
         d = independent_epd(marginals_from_values([0, 0]))
-        assert d.values == (1, 0, 0, 0)
+        assert d.atoms == (1, 0, 0, 0)
 
     def test_fair_coins_are_uniform(self):
         n = 4
         d = independent_epd(marginals_from_values([F(1, 2)] * n))
-        assert all(v == F(1, 2**n) for v in d.values)
+        assert all(v == F(1, 2**n) for v in d.atoms)
 
     @given(marginal_sets())
     def test_normalization_and_marginal_recovery(self, m):
         d = independent_epd(m)
-        assert sum(d.values) == 1  # TerraceDistribution also enforces this
+        assert sum(d.atoms) == 1  # TerraceDistribution also enforces this
         assert d.induced_marginals() == m.probs
 
     @given(marginal_sets(), st.data())
@@ -96,17 +96,17 @@ def phenomenon_maps(draw, n):
 class TestApplyPhenomenon:
     def test_identity(self):
         d = independent_epd(marginals_from_values(["0.45", "0.40"]))
-        assert apply_phenomenon(d.values, identity_phenomenon(2)) == d.values
+        assert apply_phenomenon(d.atoms, identity_phenomenon(2)) == d.atoms
 
     def test_full_complement_reverses(self):
         d = independent_epd(marginals_from_values(["0.45", "0.40"]))
-        out = apply_phenomenon(d.values, identity_phenomenon(2, kept=0))
-        assert out == tuple(reversed(d.values))
+        out = apply_phenomenon(d.atoms, identity_phenomenon(2, kept=0))
+        assert out == tuple(reversed(d.atoms))
 
     def test_double_complement_restores(self):
         d = independent_epd(marginals_from_values(["0.45", "0.40", "0.1"]))
         pm = identity_phenomenon(3, kept=0b010)
-        assert apply_phenomenon(apply_phenomenon(d.values, pm), pm) == d.values
+        assert apply_phenomenon(apply_phenomenon(d.atoms, pm), pm) == d.atoms
 
     def test_dimension_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -131,6 +131,6 @@ class TestApplyPhenomenon:
     @given(marginal_sets())
     def test_commutes_with_independence(self, m):
         h, pm = half_rare_projection(m)
-        direct = independent_epd(h.inner).values
-        transported = apply_phenomenon(independent_epd(m).values, pm)
+        direct = independent_epd(h.inner).atoms
+        transported = apply_phenomenon(independent_epd(m).atoms, pm)
         assert direct == transported
