@@ -21,7 +21,6 @@ from .core import (
     indicator_string,
     make_event_set,
     marginals_from_values,
-    subset_iter,
     validate_marginals,
 )
 from .oracle import (
@@ -64,7 +63,6 @@ __all__ = [
     "make_event_set",
     "marginals_from_values",
     "random_marginals",
-    "subset_iter",
     "upper_bound_general",
     "upper_bound_half_rare",
     "validate_marginals",

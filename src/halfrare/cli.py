@@ -2,16 +2,24 @@
 transforms and SVG interval charts.
 
 Exit codes: 0 ok, 2 parse error, 3 validation error, 4 verification failure,
-5 I/O error.
+5 I/O error.  A reader that closes standard output early (`halfrare bounds ...
+| head -2`) also ends the run with exit 5, silently: `main` points stdout at
+devnull, as the "Note on SIGPIPE" in the Python `signal` docs advises, so the
+interpreter's last flush does not fail again.
+
+Bound tables are written one row at a time in every format.  The star column
+is formatted from the integer numerators of `independent_epd` over their one
+denominator, so no cell becomes a `Fraction` unless `--exact` prints it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import bounds as _bounds
 from . import figure as _figure
@@ -19,14 +27,13 @@ from . import oracle as _oracle
 from . import transforms as _transforms
 from .core import (
     MarginalSet,
+    TerraceDistribution,
     default_event_set,
     format_decimal,
     format_exact,
     indicator_string,
     make_event_set,
     parse_probability,
-    subset_iter,
-    subset_labels,
     validate_marginals,
 )
 from .errors import EventologyError
@@ -87,44 +94,87 @@ def _load_marginals(args: argparse.Namespace) -> MarginalSet:
     raise CliError(EXIT_PARSE, "no marginals given: use -p or --input")
 
 
-def _fmt(args: argparse.Namespace) -> Callable[[Fraction], str]:
+def _fmt(args: argparse.Namespace) -> Callable[[int, int], str]:
+    """The cell formatter: numerator, denominator -> text."""
     if args.exact:
         return format_exact
-    return lambda q: format_decimal(q, args.digits)
+    digits = args.digits
+    return lambda num, den: format_decimal(num, den, digits)
 
 
-def _bound_rows(m: MarginalSet, fmt: Callable[[Fraction], str]):
-    """(indicator, labels, lower, star, upper) for each subset, one at a time."""
+def _half_table(labels: Sequence[str]) -> list[tuple[str, tuple[str, ...]]]:
+    """(indicator string, labels in X) for every subset X of `labels`."""
+    return [
+        (
+            "".join("1" if (x >> i) & 1 else "0" for i in range(len(labels))),
+            tuple(lab for i, lab in enumerate(labels) if (x >> i) & 1),
+        )
+        for x in range(1 << len(labels))
+    ]
+
+
+def _subsets(labels: Sequence[str]) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """`_half_table` of all the labels, in ascending bitmask order, built from
+    the tables of the low and the high half: 2 * 2^(N/2) entries, not 2^N."""
+    h = len(labels) // 2
+    low = _half_table(labels[:h])
+    for s_high, labs_high in _half_table(labels[h:]):
+        for s_low, labs_low in low:
+            yield s_low + s_high, labs_low + labs_high
+
+
+def _bound_rows(m: MarginalSet, fmt: Callable[[int, int], str], labels: Sequence[str]):
+    """(indicator, labels, lower, star, upper) for each subset, one at a time;
+    `labels` names the events as the writer prints them."""
     bd = _bounds.boundary_distributions(m)
     star = _transforms.independent_epd(m)
-    for x in subset_iter(m.n):
+    nums, den = star.numerators, star.den
+    for x, (s, labs) in enumerate(_subsets(labels)):
+        lower, upper = bd.lower[x], bd.upper[x]
         yield (
-            indicator_string(x, m.n),
-            subset_labels(x, m.events),
-            fmt(bd.lower[x]),
-            fmt(star[x]),
-            fmt(bd.upper[x]),
+            s,
+            labs,
+            fmt(lower.numerator, lower.denominator),
+            fmt(nums[x], den),
+            fmt(upper.numerator, upper.denominator),
         )
 
 
+#: Between two label items of a JSON row, as json.dump(..., indent=2) puts them.
+_JSON_ITEM_SEP = ",\n        "
+
+
 def _emit_rows(m: MarginalSet, args: argparse.Namespace, out) -> None:
-    rows = _bound_rows(m, _fmt(args))
+    fmt = _fmt(args)
     if args.format == "json":
-        rows = [
-            {"subset": s, "labels": list(labs), "lower": lower, "star": star, "upper": upper}
-            for s, labs, lower, star, upper in rows
-        ]
-        json.dump({"N": m.n, "rows": rows}, out, indent=2)
-        out.write("\n")
+        # The bytes of json.dump({"N": n, "rows": [...]}, indent=2), written
+        # row by row; labels are escaped once, by the C encoder.
+        escaped = [json.dumps(lab) for lab in m.events.labels]
+        out.write(f'{{\n  "N": {m.n},\n  "rows": [')
+        sep = "\n"
+        for s, labs, lower, star, upper in _bound_rows(m, fmt, escaped):
+            items = f"[\n        {_JSON_ITEM_SEP.join(labs)}\n      ]" if labs else "[]"
+            out.write(
+                f'{sep}    {{\n      "subset": "{s}",\n      "labels": {items},\n'
+                f'      "lower": "{lower}",\n      "star": "{star}",\n'
+                f'      "upper": "{upper}"\n    }}'
+            )
+            sep = ",\n"
+        out.write("\n  ]\n}\n")
     elif args.format == "csv":
-        out.write("subset,labels,lower,star,upper\n")
-        for s, labs, lower, star, upper in rows:
-            out.write(f"{s},{'+'.join(labs)},{lower},{star},{upper}\n")
+        import csv
+
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("subset", "labels", "lower", "star", "upper"))
+        writer.writerows(
+            (s, "+".join(labs), lower, star, upper)
+            for s, labs, lower, star, upper in _bound_rows(m, fmt, m.events.labels)
+        )
     else:
         # The full set's label string is the longest one.
         width = max(12, len("+".join(m.events.labels)) + 2)
         out.write(f"{'subset':<{m.n + 2}} {'labels':<{width}} {'lower':>12} {'star':>12} {'upper':>12}\n")
-        for s, labs, lower, star, upper in rows:
+        for s, labs, lower, star, upper in _bound_rows(m, fmt, m.events.labels):
             out.write(
                 f"{s:<{m.n + 2}} {'+'.join(labs):<{width}} {lower:>12} {star:>12} {upper:>12}\n"
             )
@@ -138,19 +188,26 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def _report_dict(report: _oracle.VerificationReport) -> dict:
     n = report.marginals.n
+
+    def exact(q: Fraction) -> str:
+        return format_exact(q.numerator, q.denominator)
+
+    def atoms(w: TerraceDistribution) -> list[str]:
+        return [format_exact(a, w.den) for a in w.numerators]
+
     return {
         "N": n,
-        "probabilities": [format_exact(p) for p in report.marginals.probs],
+        "probabilities": [exact(p) for p in report.marginals.probs],
         "verdict": "pass" if report.verdict else "fail",
         "subsets": [
             {
                 "subset": indicator_string(r.subset, n),
-                "closed_form_lower": format_exact(r.closed_form_lower),
-                "lp_min": format_exact(r.lp_min),
-                "closed_form_upper": format_exact(r.closed_form_upper),
-                "lp_max": format_exact(r.lp_max),
-                "witness_min": [format_exact(a) for a in r.witness_min.atoms],
-                "witness_max": [format_exact(a) for a in r.witness_max.atoms],
+                "closed_form_lower": exact(r.closed_form_lower),
+                "lp_min": exact(r.lp_min),
+                "closed_form_upper": exact(r.closed_form_upper),
+                "lp_max": exact(r.lp_max),
+                "witness_min": atoms(r.witness_min),
+                "witness_max": atoms(r.witness_max),
             }
             for r in report.records
         ],
@@ -210,10 +267,11 @@ def cmd_phenomenon(args: argparse.Namespace) -> int:
     fmt = _fmt(args)
     out = sys.stdout
     out.write("marginals: " + ", ".join(
-        f"{lab}={fmt(p)}" for lab, p in zip(transformed.events.labels, transformed.probs)
+        f"{lab}={fmt(p.numerator, p.denominator)}"
+        for lab, p in zip(transformed.events.labels, transformed.probs)
     ) + "\n")
     out.write("subset labels lower star upper\n")
-    for s, labs, lower, star, upper in _bound_rows(transformed, fmt):
+    for s, labs, lower, star, upper in _bound_rows(transformed, fmt, transformed.events.labels):
         out.write(f"{s} {'+'.join(labs) or '-'} {lower} {star} {upper}\n")
     return EXIT_OK
 
@@ -287,7 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone; keep the interpreter's final flush from raising.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IO
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

@@ -4,9 +4,9 @@ distributions and bitmask subset indexing.
 Each type checks its own invariant once, when it is built, and code that holds
 one does not check it again: an `EventSet` has 1 to MAX_EVENTS distinct labels
 (the only dense size guard), a `MarginalSet` one probability in [0, 1] per
-event, and a `TerraceDistribution` 2^N nonnegative atoms summing to 1.
-`make_event_set`, `default_event_set` and `validate_marginals` only coerce
-their arguments to tuples and `Fraction`s.
+event, and a `TerraceDistribution` 2^N nonnegative integer numerators summing
+to its one denominator.  `make_event_set`, `default_event_set` and
+`validate_marginals` only coerce their arguments to tuples and `Fraction`s.
 
 Probabilities are carried as `fractions.Fraction` everywhere; decimals are a
 rendering concern only.  Subsets of an N-event set are plain ints in
@@ -17,14 +17,18 @@ never silently re-sorted; reordering is an explicit transform (see
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import (
     DuplicateLabel,
     EmptySet,
     IndexOutOfRange,
+    InvalidLabel,
     LengthMismatch,
     NotHalfRare,
     ProbabilityOutOfRange,
@@ -33,6 +37,14 @@ from .errors import (
 
 #: Dense power-set storage cap: full 2^N tables are only built for N <= 20.
 MAX_EVENTS = 20
+
+#: Most digits a probability's text may carry: decimal places, exponent
+#: magnitude, or either side of a/b.  The star table's denominator, a product
+#: of at most MAX_EVENTS such denominators, then stays under Python's
+#: 4,300-digit limit for printing an integer.
+MAX_PROBABILITY_DIGITS = 200
+
+_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -52,6 +64,9 @@ class EventSet:
             raise DuplicateLabel(f"labels are not pairwise distinct: {self.labels}")
         if len(self.labels) > MAX_EVENTS:
             raise TooLarge(f"N={len(self.labels)} exceeds the dense cap {MAX_EVENTS}")
+        for lab in self.labels:
+            if _CONTROL.search(lab):
+                raise InvalidLabel(f"label {lab!r} holds a control character")
 
     @property
     def n(self) -> int:
@@ -80,31 +95,28 @@ def check_subset(x: int, n: int) -> None:
 def indicator_string(x: int, n: int) -> str:
     """N-character '0'/'1' word; position i shows membership of the i-th event."""
     check_subset(x, n)
-    return "".join("1" if (x >> i) & 1 else "0" for i in range(n))
-
-
-def subset_from_indicator(s: str) -> int:
-    bits = 0
-    for i, c in enumerate(s):
-        if c == "1":
-            bits |= 1 << i
-        elif c != "0":
-            raise ValueError(f"not an indicator string: {s!r}")
-    return bits
-
-
-def subset_iter(n: int) -> Iterator[int]:
-    """All 2^N subsets in ascending bitmask order: empty set first, full set last."""
-    return iter(range(1 << n))
-
-
-def subset_labels(x: int, events: EventSet) -> tuple[str, ...]:
-    return tuple(lab for i, lab in enumerate(events.labels) if (x >> i) & 1)
+    return format(x, f"0{n}b")[::-1]
 
 
 def parse_probability(text: str) -> Fraction:
-    """Parse a decimal ("0.45") or fraction ("9/20") string exactly."""
-    return Fraction(text.strip())
+    """Parse a decimal ("0.45") or fraction ("9/20") string exactly.
+
+    The size is checked on the text, before the `Fraction` is built: a decimal
+    may have at most MAX_PROBABILITY_DIGITS places (and an exponent of at most
+    that magnitude), a fraction at most that many digits on either side."""
+    text = text.strip()
+    num, slash, den = text.partition("/")
+    if slash:
+        digits = max(len(num), len(den))
+    else:
+        try:
+            exponent = Decimal(text).as_tuple().exponent
+        except InvalidOperation:
+            exponent = 0  # not a number: Fraction says why
+        digits = abs(exponent) if isinstance(exponent, int) else 0
+    if digits > MAX_PROBABILITY_DIGITS:
+        raise ValueError(f"{text[:24]!r} exceeds {MAX_PROBABILITY_DIGITS} digits")
+    return Fraction(text)
 
 
 @dataclass(frozen=True)
@@ -173,46 +185,64 @@ class HalfRareMarginalSet:
 
 @dataclass(frozen=True)
 class TerraceDistribution:
-    """A joint distribution of the events: the probability `atoms[X]` that
-    exactly the events in X occur, for every subset X.  Atoms are
-    nonnegative and sum to 1 exactly, so each also lies in [0, 1]."""
+    """A joint distribution of the events: the probability that exactly the
+    events in X occur is `numerators[X] / den`, for every subset X.  The
+    numerators are nonnegative ints summing to `den`, so every atom lies in
+    [0, 1] and the atoms sum to 1 exactly."""
 
     events: EventSet
-    atoms: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    den: int
 
     def __post_init__(self) -> None:
-        if len(self.atoms) != 1 << self.events.n:
+        if len(self.numerators) != 1 << self.events.n:
             raise LengthMismatch(
-                f"{len(self.atoms)} atoms for N={self.events.n} (need {1 << self.events.n})"
+                f"{len(self.numerators)} atoms for N={self.events.n} (need {1 << self.events.n})"
             )
-        for x, a in enumerate(self.atoms):
-            if a < ZERO:
-                raise ProbabilityOutOfRange(x, a)
-        if sum(self.atoms) != ONE:
-            raise ProbabilityOutOfRange("total", sum(self.atoms))
+        if min(self.numerators) < 0:
+            x = next(x for x, a in enumerate(self.numerators) if a < 0)
+            raise ProbabilityOutOfRange(x, Fraction(self.numerators[x], self.den))
+        total = sum(self.numerators)
+        if total != self.den or total == 0:
+            raise ProbabilityOutOfRange("total", f"{total}/{self.den}")
+
+    @classmethod
+    def from_atoms(cls, events: EventSet, atoms: Sequence[Fraction]) -> TerraceDistribution:
+        """The distribution with these `Fraction` atoms, over their least
+        common denominator."""
+        den = math.lcm(*(a.denominator for a in atoms))
+        return cls(events, tuple(a.numerator * (den // a.denominator) for a in atoms), den)
+
+    @property
+    def atoms(self) -> tuple[Fraction, ...]:
+        """The atoms as `Fraction`s, each reduced."""
+        return tuple(Fraction(a, self.den) for a in self.numerators)
 
     def __getitem__(self, x: int) -> Fraction:
         check_subset(x, self.events.n)
-        return self.atoms[x]
+        return Fraction(self.numerators[x], self.den)
 
     def induced_marginals(self) -> tuple[Fraction, ...]:
-        n = self.events.n
         return tuple(
-            sum((a for x, a in enumerate(self.atoms) if (x >> i) & 1), ZERO)
-            for i in range(n)
+            Fraction(sum(a for x, a in enumerate(self.numerators) if (x >> i) & 1), self.den)
+            for i in range(self.events.n)
         )
 
 
-def format_exact(q: Fraction) -> str:
-    """Fraction string: "9/20", "0", "1"."""
-    return str(q)
+def format_exact(num: int, den: int) -> str:
+    """num/den (den > 0) in lowest terms, as `str(Fraction(num, den))` prints
+    it: "9/20", "0", "1"."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}" if den != g else str(num // g)
 
 
-def format_decimal(q: Fraction, digits: int = 6) -> str:
-    """Round to `digits` decimal places, trailing zeros trimmed."""
-    scaled = round(q * 10**digits)
+def format_decimal(num: int, den: int, digits: int = 6) -> str:
+    """num/den (den > 0) rounded half to even at `digits` decimal places, as
+    `round(Fraction(num, den) * 10**digits)` rounds, trailing zeros trimmed."""
+    scale = 10**digits
+    scaled, rest = divmod(num * scale, den)
+    if 2 * rest > den or (2 * rest == den and scaled & 1):
+        scaled += 1
     sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
-    whole, frac = divmod(scaled, 10**digits)
-    text = f"{sign}{whole}.{frac:0{digits}d}".rstrip("0").rstrip(".")
-    return text or "0"
+    whole, frac = divmod(abs(scaled), scale)
+    return f"{sign}{whole}.{frac:0{digits}d}".rstrip("0").rstrip(".")

@@ -13,6 +13,10 @@ class EmptySet(EventologyError):
     pass
 
 
+class InvalidLabel(EventologyError):
+    pass
+
+
 class TooLarge(EventologyError):
     pass
 

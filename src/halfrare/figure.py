@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import BoundaryDistributions, boundary_distributions
-from .core import MarginalSet, indicator_string, subset_iter
+from .core import MarginalSet, indicator_string
 from .errors import EventologyError, TooLarge
 from .transforms import independent_epd
 
@@ -80,7 +80,7 @@ def render_figure(m: MarginalSet, spec: FigureSpec = FigureSpec()) -> str:
             if k % 4
             else f'<text class="tick" x="4" y="{y + 3:.2f}">{k // 4}</text>'
         )
-    for x in subset_iter(n):
+    for x in range(ncells):
         cx = spec.margin_left + slot * (x + 0.5)
         left = cx - bar / 2
         y_up, y_star, y_lo = spec.y(bd.upper[x]), spec.y(star[x]), spec.y(bd.lower[x])

@@ -26,7 +26,6 @@ from .core import (
     TerraceDistribution,
     check_subset,
     default_event_set,
-    subset_iter,
     validate_marginals,
 )
 from .errors import Infeasible, TooLarge
@@ -142,7 +141,7 @@ def lp_extremize_terrace(
     atoms = [ZERO] * ncells
     for r, j in enumerate(basis):
         atoms[j] = tableau[r][-1]
-    return atoms[x], TerraceDistribution(m.events, tuple(atoms))
+    return atoms[x], TerraceDistribution.from_atoms(m.events, atoms)
 
 
 def verify_bounds(m: MarginalSet) -> VerificationReport:
@@ -151,7 +150,7 @@ def verify_bounds(m: MarginalSet) -> VerificationReport:
     # The LPs run first, so an N over the LP cap fails before any dense work.
     optima = [
         (lp_extremize_terrace(x, m, "min"), lp_extremize_terrace(x, m, "max"))
-        for x in subset_iter(m.n)
+        for x in range(1 << m.n)
     ]
     bd = boundary_distributions(m)
     return VerificationReport(m, tuple(

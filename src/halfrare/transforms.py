@@ -43,9 +43,6 @@ class PhenomenonMap:
     def complemented(self) -> int:
         return ((1 << self.n) - 1) ^ self.kept
 
-    def is_identity(self) -> bool:
-        return self.kept == (1 << self.n) - 1 and self.order == tuple(range(self.n))
-
     def subset_table(self) -> list[int]:
         """The renumbering X -> perm(X xor C) for every subset X, in one pass.
 
@@ -85,13 +82,16 @@ def independent_value(x: int, m: MarginalSet) -> Fraction:
 
 
 def independent_epd(m: MarginalSet) -> TerraceDistribution:
-    """Dense terrace distribution of the independent projection."""
-    # Tensor-product fill: one factor per event instead of N products per cell.
-    values = [ONE]
+    """Dense terrace distribution of the independent projection, over the one
+    denominator D = prod den(p_x) that every cell shares."""
+    # Tensor-product fill on integers: one factor per event instead of N
+    # products per cell, and no gcd until a cell is read as a Fraction.
+    nums, den = [1], 1
     for p in m.probs:
-        q = ONE - p
-        values = [v * q for v in values] + [v * p for v in values]
-    return TerraceDistribution(m.events, tuple(values))
+        a, d = p.numerator, p.denominator
+        nums = [v * (d - a) for v in nums] + [v * a for v in nums]
+        den *= d
+    return TerraceDistribution(m.events, tuple(nums), den)
 
 
 def half_rare_map(probs: Sequence[Fraction]) -> PhenomenonMap:

@@ -1,10 +1,12 @@
 import contextlib
+import csv
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
@@ -219,6 +221,12 @@ class TestPhenomenonCommand:
         (["verify", "-p", "0.3", "-i", "DOC"], {"events": ["a"], "probabilities": ["0.4"]}, 2),
         (["bounds", "-i", "DOC"], b"[" * 100_000 + b"]" * 100_000, 2),
         (["bounds", "-i", "DOC"], {"events": ["\ud800"], "probabilities": ["0.4"]}, 2),
+        (["bounds", "-p", "1e-5000", "--exact"], None, 2),
+        (["bounds", "-p", "1e-2000000"], None, 2),
+        (["bounds", "-p", "0.5,1/1" + "0" * 200], None, 2),
+        (["bounds", "-i", "DOC"], {"events": ["a"], "probabilities": ["1e-201"]}, 2),
+        (["bounds", "-i", "DOC"], {"events": ["a\nb"], "probabilities": ["0.4"]}, 3),
+        (["bounds", "-i", "DOC"], {"events": ["a", "\x1b[2J"], "probabilities": ["0.4", "0.1"]}, 3),
     ],
     ids=[
         "bounds-digits-negative",
@@ -238,6 +246,12 @@ class TestPhenomenonCommand:
         "verify-probs-and-input",
         "input-nested-too-deep",
         "label-lone-surrogate",
+        "exact-long-decimal",
+        "huge-exponent",
+        "long-denominator",
+        "input-long-decimal",
+        "label-newline",
+        "label-escape",
     ],
 )
 def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):
@@ -250,12 +264,52 @@ def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):
     if argv[0] == "figure":
         argv += ["--out", str(tmp_path / "fig.svg")]
     env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "halfrare", *argv], capture_output=True, text=True, env=env
     )
+    elapsed = time.perf_counter() - start
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "fig.svg").exists()
+    if "1e-2000000" in argv:
+        assert elapsed < 1.0  # rejected from the text, before 10^2000000 is built
+
+
+def test_closed_pipe_exits_5():
+    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "halfrare", "bounds", "-p", ",".join(["0.3"] * 12)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        # 4,097 lines overflow the pipe, so the writer is still writing when
+        # the reader goes.
+        assert proc.stdout.readline().startswith(b"subset")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 5
+        assert proc.stderr.read() == b""
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [["a"], ['q"uote', "back\\slash"], ["é", "日本", "\U0001f600"], ["", "b", "c,d"],
+     [f"x{i}" for i in range(9)]],
+    ids=["single", "quote-backslash", "non-ascii", "empty-and-comma", "nine"],
+)
+def test_json_stream_matches_json_dump(capsys, tmp_path, labels):
+    doc = {"events": labels, "probabilities": (["0.45", "2/5", "0.7"] * 3)[: len(labels)]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    for extra in ([], ["--exact"], ["--digits", "0"]):
+        code, out, _ = run(capsys, "bounds", "-i", str(path), "--format", "json", *extra)
+        assert code == 0
+        parsed = json.loads(out)
+        buf = io.StringIO()
+        json.dump(parsed, buf, indent=2)
+        assert out == buf.getvalue() + "\n"
+        assert [r["labels"] for r in parsed["rows"]] == [
+            [lab for i, lab in enumerate(labels) if (x >> i) & 1] for x in range(1 << len(labels))
+        ]
 
 
 @pytest.mark.parametrize(
@@ -281,9 +335,9 @@ def test_sweep_rejects_bad_ranges(argv):
     assert proc.stderr.splitlines()[-1].startswith("verification_sweep.py: error:")
 
 
-# Numbers as the CLI reads them.  Exponents stay within +-30: an exponent e
-# gives every value a 10^|e| denominator, so run time grows with |e|
-# (1e-2000000 takes seconds), which is slow, not wrong.
+# Numbers as the CLI reads them.  Accepted exponents stay within +-30: an
+# exponent e gives every value a 10^|e| denominator, so run time grows with
+# |e|, which is slow, not wrong.  Past +-200 the text is rejected unparsed.
 _probability = st.one_of(
     st.fractions(min_value=0, max_value=1, max_denominator=40).map(str),
     st.builds("0.{:02d}".format, st.integers(0, 99)),
@@ -291,13 +345,18 @@ _probability = st.one_of(
 _number = st.one_of(
     _probability,
     st.fractions(min_value=-1, max_value=2, max_denominator=40).map(str),
-    st.builds("{}e{}".format, st.integers(-10**4, 10**4), st.integers(-30, 30)),
+    st.builds(
+        "{}e{}".format,
+        st.integers(-10**4, 10**4),
+        st.integers(-30, 30) | st.sampled_from([-201, 201, -2000000]),
+    ),
     st.builds("{}/{}".format, st.integers(-3, 9), st.integers(-1, 9)),
     st.sampled_from(["0.45", "nan", "inf", "", " ", "zebra", "1_0", "0x1"]),
 )
 # Lone surrogates are valid JSON escapes but cannot be written as UTF-8.
 _text_label = st.one_of(
-    st.sampled_from(["x1", "x2", "a", "é", "", "\ud800", "a\udcff"]), st.text(max_size=3)
+    st.sampled_from(["x1", "x2", "a", "é", "", "\ud800", "a\udcff", "a,b", 'q"', "l\n", "r\r"]),
+    st.text(max_size=3),
 )
 _label = _text_label | st.integers() | st.none()
 _json = st.recursive(
@@ -402,3 +461,8 @@ def test_fuzz_exit_codes(invocation):
                 return
             stdout.flush()
     assert code in {0, 2, 3, 4, 5}
+    text = stdout.buffer.getvalue().decode("utf-8")
+    if text.startswith("subset,labels,"):
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert len(rows) == 1 + 2 ** int(len(rows[1][0]))
+        assert all(len(row) == 5 for row in rows)

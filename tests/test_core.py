@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,20 +13,20 @@ from halfrare import (
     indicator_string,
     make_event_set,
     marginals_from_values,
-    subset_iter,
     validate_marginals,
 )
+from halfrare.cli import _subsets
 from halfrare.core import (
+    MAX_PROBABILITY_DIGITS,
     default_event_set,
     format_decimal,
     format_exact,
     parse_probability,
-    subset_from_indicator,
-    subset_labels,
 )
 from halfrare.errors import (
     DuplicateLabel,
     EmptySet,
+    InvalidLabel,
     LengthMismatch,
     NotHalfRare,
     ProbabilityOutOfRange,
@@ -59,6 +60,14 @@ class TestEventSet:
             EventSet(("x", "x"))
         with pytest.raises(TooLarge):
             EventSet(tuple(f"x{i}" for i in range(21)))
+
+    @pytest.mark.parametrize("label", ["a\nb", "a\rb", "\t", "\x00", "\x7f", "\x85"])
+    def test_control_characters_rejected(self, label):
+        with pytest.raises(InvalidLabel):
+            make_event_set(["x", label])
+
+    def test_printable_labels_accepted(self):
+        make_event_set(["a,b", 'q"', "é", "", " ", "\u2028"])
 
 
 class TestMarginals:
@@ -98,25 +107,24 @@ class TestSubsets:
         assert indicator_string(7, 3) == "111"
         assert indicator_string(2, 3) == "010"
 
-    def test_subset_iter_small(self):
-        assert list(subset_iter(1)) == [0, 1]
-        assert list(subset_iter(2)) == [0, 1, 2, 3]
-
-    def test_subset_iter_counts(self):
-        for n in range(1, 11):
-            seen = list(subset_iter(n))
-            assert len(seen) == len(set(seen)) == 2**n
-
     def test_labels(self):
-        es = make_event_set(["a", "b", "c"])
-        assert subset_labels(5, es) == ("a", "c")
+        assert list(_subsets(("a", "b", "c")))[5] == ("101", ("a", "c"))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_subsets_match_definition(self, n):
+        labels = tuple(f"e{i}" for i in range(n))
+        expected = [
+            (indicator_string(x, n), tuple(lab for i, lab in enumerate(labels) if (x >> i) & 1))
+            for x in range(1 << n)
+        ]
+        assert list(_subsets(labels)) == expected
 
     @given(st.integers(min_value=1, max_value=12), st.data())
     def test_indicator_round_trip(self, n, data):
         x = data.draw(st.integers(min_value=0, max_value=2**n - 1))
         s = indicator_string(x, n)
-        assert len(s) == n
-        assert subset_from_indicator(s) == x
+        assert len(s) == n and set(s) <= {"0", "1"}
+        assert int(s[::-1], 2) == x
 
 
 class TestRationals:
@@ -124,37 +132,114 @@ class TestRationals:
         assert parse_probability("0.45") == Fraction(9, 20)
         assert parse_probability("9/20") == Fraction(9, 20)
 
+    def test_digit_cap(self):
+        cap = MAX_PROBABILITY_DIGITS
+        assert parse_probability(f"1e-{cap}") == Fraction(1, 10**cap)
+        assert parse_probability("0." + "0" * (cap - 1) + "1") == Fraction(1, 10**cap)
+        assert parse_probability("1/" + "9" * cap) == Fraction(1, 10**cap - 1)
+        for text in (f"1e-{cap + 1}", "0." + "0" * cap + "1", "1/" + "9" * (cap + 1),
+                     f"1e{cap + 1}", "1e-2000000"):
+            with pytest.raises(ValueError):
+                parse_probability(text)
+
     @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=6))
     def test_decimal_round_trip(self, mantissa, places):
         text = f"{mantissa // 10**places}.{mantissa % 10**places:0{places}d}"
         q = parse_probability(text)
-        assert parse_probability(format_decimal(q, places)) == q
+        assert parse_probability(format_decimal(q.numerator, q.denominator, places)) == q
 
     def test_format_decimal_trims(self):
-        assert format_decimal(Fraction(1, 20)) == "0.05"
-        assert format_decimal(Fraction(0)) == "0"
-        assert format_decimal(Fraction(1)) == "1"
-        assert format_decimal(Fraction(1, 3), 6) == "0.333333"
+        assert format_decimal(1, 20) == "0.05"
+        assert format_decimal(0, 1) == "0"
+        assert format_decimal(1, 1) == "1"
+        assert format_decimal(1, 3, 6) == "0.333333"
+        assert format_decimal(3, 6) == "0.5"  # an unreduced fraction
 
     def test_format_exact(self):
-        assert format_exact(Fraction(9, 20)) == "9/20"
-        assert format_exact(Fraction(0)) == "0"
+        assert format_exact(9, 20) == "9/20"
+        assert format_exact(0, 1) == "0"
+        assert format_exact(0, 7) == "0"
+        assert format_exact(6, 6) == "1"
+        assert format_exact(-18, 40) == "-9/20"
+
+    @given(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+    def test_format_exact_reduces_as_fraction_prints(self, num, den):
+        assert format_exact(num, den) == str(Fraction(num, den))
+
+
+def reference_format_decimal(q: Fraction, digits: int) -> str:
+    """The Fraction formula format_decimal replaces, kept as its reference."""
+    scaled = round(q * 10**digits)
+    sign = "-" if scaled < 0 else ""
+    whole, frac = divmod(abs(scaled), 10**digits)
+    return f"{sign}{whole}.{frac:0{digits}d}".rstrip("0").rstrip(".")
+
+
+class TestIntegerRounding:
+    @given(st.integers(-(10**30), 10**30), st.integers(1, 10**30), st.integers(0, 40))
+    def test_random_fractions(self, num, den, digits):
+        q = Fraction(num, den)
+        assert format_decimal(num, den, digits) == reference_format_decimal(q, digits)
+
+    @given(st.integers(-(10**12), 10**12), st.integers(0, 12), st.integers(1, 5))
+    def test_exact_ties(self, whole, digits, scale):
+        # (2w + 1) / 2 at `digits` places is a tie; w even and odd both occur.
+        num, den = (2 * whole + 1) * scale, 2 * 10**digits * scale
+        assert format_decimal(num, den, digits) == reference_format_decimal(
+            Fraction(num, den), digits
+        )
+
+    def test_ties_of_both_parities(self):
+        assert format_decimal(1, 2, 0) == "0"
+        assert format_decimal(3, 2, 0) == "2"
+        assert format_decimal(-1, 2, 0) == "0"
+        assert format_decimal(-3, 2, 0) == "-2"
+        assert format_decimal(25, 1000, 2) == "0.02"
+        assert format_decimal(35, 1000, 2) == "0.04"
+
+    def test_every_digit_count(self):
+        rng = random.Random(640)
+        for digits in range(641):
+            den = rng.randint(1, 10**rng.randint(1, 60))
+            for num in (rng.randint(0, den), den, 0, den // 2, (den + 1) // 2):
+                assert format_decimal(num, den, digits) == reference_format_decimal(
+                    Fraction(num, den), digits
+                )
 
 
 class TestTerraceDistribution:
     def test_normalization_is_exact(self):
         es = default_event_set(1)
         with pytest.raises(ProbabilityOutOfRange):
-            TerraceDistribution(es, (Fraction(1, 3), Fraction(1, 3)))
+            TerraceDistribution.from_atoms(es, (Fraction(1, 3), Fraction(1, 3)))
 
     def test_value_range(self):
         es = default_event_set(1)
         with pytest.raises(ProbabilityOutOfRange):
-            TerraceDistribution(es, (Fraction(3, 2), Fraction(-1, 2)))
+            TerraceDistribution.from_atoms(es, (Fraction(3, 2), Fraction(-1, 2)))
+
+    def test_integer_construction_checks(self):
+        es = default_event_set(1)
+        with pytest.raises(ProbabilityOutOfRange):
+            TerraceDistribution(es, (3, -1), 2)  # a negative numerator
+        with pytest.raises(LengthMismatch):
+            TerraceDistribution(es, (1, 1, 0), 2)
+        with pytest.raises(ProbabilityOutOfRange):
+            TerraceDistribution(es, (1, 1), 3)  # sums to 2/3
+        with pytest.raises(ProbabilityOutOfRange):
+            TerraceDistribution(es, (0, 0), 0)
+
+    def test_atoms_view(self):
+        d = TerraceDistribution(default_event_set(1), (2, 4), 6)
+        assert d.atoms == (Fraction(1, 3), Fraction(2, 3))
+        assert d[1] == Fraction(2, 3)
+        assert TerraceDistribution.from_atoms(d.events, d.atoms) == TerraceDistribution(
+            d.events, (1, 2), 3
+        )
 
     def test_induced_marginals(self):
         es = default_event_set(2)
-        d = TerraceDistribution(
+        d = TerraceDistribution.from_atoms(
             es, (Fraction(3, 20), Fraction(9, 20), Fraction(0), Fraction(2, 5))
         )
         assert d.induced_marginals() == (Fraction(17, 20), Fraction(2, 5))

@@ -10,7 +10,6 @@ from halfrare import (
     independent_epd,
     independent_value,
     marginals_from_values,
-    subset_iter,
 )
 from halfrare.errors import LengthMismatch
 from halfrare.transforms import PhenomenonMap, identity_phenomenon
@@ -45,6 +44,15 @@ class TestIndependentEpd:
         x = data.draw(st.integers(min_value=0, max_value=2**m.n - 1))
         assert independent_value(x, m) == independent_epd(m)[x]
 
+    @given(st.data())
+    def test_every_cell_matches_product(self, data):
+        # Ties come from a small pool; 0, 1/2 and 1 are always in it.
+        pool = [F(0), F(1, 2), F(1)] + data.draw(st.lists(unit_fraction, min_size=1, max_size=3))
+        probs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+        m = marginals_from_values(probs)
+        d = independent_epd(m)
+        assert d.atoms == tuple(independent_value(x, m) for x in range(1 << m.n))
+
 
 class TestHalfRareProjection:
     def test_complements_likely_event(self):
@@ -58,7 +66,7 @@ class TestHalfRareProjection:
         m = marginals_from_values(["0.45", "0.40"])
         h, pm = half_rare_projection(m)
         assert h.probs == m.probs
-        assert pm.is_identity()
+        assert pm == identity_phenomenon(2)
 
     def test_labels_follow_the_map(self):
         m = marginals_from_values(["0.7", "0.4"])
@@ -71,7 +79,7 @@ class TestHalfRareProjection:
         m = marginals_from_values([F(1, 2), F(1, 2)])
         h, pm = half_rare_projection(m)
         assert h.probs == m.probs
-        assert pm.is_identity()
+        assert pm == identity_phenomenon(2)
 
     @given(marginal_sets())
     def test_output_is_half_rare(self, m):
@@ -83,7 +91,7 @@ class TestHalfRareProjection:
         h, _ = half_rare_projection(m)
         h2, pm2 = half_rare_projection(h.inner)
         assert h2.probs == h.probs
-        assert pm2.is_identity()
+        assert pm2 == identity_phenomenon(h.n)
 
 
 @st.composite
@@ -124,7 +132,7 @@ class TestApplyPhenomenon:
     def test_subset_table_matches_definition(self, n, data):
         pm = data.draw(phenomenon_maps(n))
         table = pm.subset_table()
-        for x in subset_iter(n):
+        for x in range(1 << n):
             w = x ^ pm.complemented
             assert table[x] == sum(1 << j for j, i in enumerate(pm.order) if (w >> i) & 1)
 
