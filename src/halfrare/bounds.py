@@ -27,10 +27,9 @@ from .core import (
     TerraceDistribution,
     check_subset,
     make_event_set,
-    validate_marginals,
 )
 from .errors import MarginalMismatch
-from .transforms import apply_phenomenon, half_rare_map, independent_value
+from .transforms import half_rare_map, independent_epd
 
 
 @dataclass(frozen=True)
@@ -40,10 +39,6 @@ class BoundaryDistributions:
     events: EventSet
     lower: tuple[Fraction, ...]
     upper: tuple[Fraction, ...]
-
-    @property
-    def n(self) -> int:
-        return self.events.n
 
 
 @dataclass(frozen=True)
@@ -91,24 +86,22 @@ def lower_bound_half_rare(x: int, h: HalfRareMarginalSet) -> Fraction:
 
 def boundary_distributions(m: MarginalSet) -> BoundaryDistributions:
     """Dense bounds over all 2^N subsets, by the half-rare reduction: project
-    the marginals to the half-rare case, evaluate its closed forms on the whole
-    table, renumber back.  Labels play no part."""
+    the marginals to the half-rare case and read its closed forms at each
+    subset's image under the one renumbering.  Labels play no part."""
     pm = half_rare_map(m.probs)
     p = pm.map_probs(m.probs)
     rest = sum(p) - p[0]
-    lower = [ZERO] * (1 << m.n)
-    lower[0] = max(ZERO, ONE - p[0] - rest)
-    lower[1] = max(ZERO, p[0] - rest)
-    upper = [ONE - p[0]] + [p[x.bit_length() - 1] for x in range(1, 1 << m.n)]
+    lo = (max(ZERO, ONE - p[0] - rest), max(ZERO, p[0] - rest))
+    table = pm.subset_table()
     return BoundaryDistributions(
         m.events,
-        apply_phenomenon(lower, pm, inverse=True),
-        apply_phenomenon(upper, pm, inverse=True),
+        tuple(lo[y] if y < 2 else ZERO for y in table),
+        tuple(p[y.bit_length() - 1] if y else ONE - p[0] for y in table),
     )
 
 
 def _doublet_marginals(p_x: Fraction, p_y: Fraction) -> HalfRareMarginalSet:
-    return HalfRareMarginalSet(validate_marginals(make_event_set(("x", "y")), (p_x, p_y)))
+    return HalfRareMarginalSet(make_event_set(("x", "y")), (Fraction(p_x), Fraction(p_y)))
 
 
 def doublet_bounds(p_x: Fraction, p_y: Fraction) -> BoundaryDistributions:
@@ -121,11 +114,16 @@ def doublet_bounds(p_x: Fraction, p_y: Fraction) -> BoundaryDistributions:
     return BoundaryDistributions(m.events, lower, upper)
 
 
-def covariance_first_kind(d: TerraceDistribution, m: MarginalSet, x: int) -> Fraction:
-    """Deviation of a terrace probability from its value under independence."""
+def covariance_first_kind(d: TerraceDistribution, m: MarginalSet) -> tuple[Fraction, ...]:
+    """Deviation of every terrace probability from its value under
+    independence, d - independent_epd(m), over all 2^N subsets."""
     if d.events.n != m.n or d.induced_marginals() != m.probs:
         raise MarginalMismatch("distribution marginals do not match the declared ones")
-    return d[x] - independent_value(x, m)
+    star = independent_epd(m)
+    return tuple(
+        Fraction(a * star.den - s * d.den, d.den * star.den)
+        for a, s in zip(d.numerators, star.numerators)
+    )
 
 
 def covariance_bounds_doublet(p_x: Fraction, p_y: Fraction) -> CovarianceBounds:

@@ -55,43 +55,52 @@ class CliError(Exception):
         self.code = code
 
 
+def _read_document(path: str) -> tuple[list[str], list]:
+    """The labels and the probability items of a JSON input document."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except OSError as e:
+        raise CliError(EXIT_IO, f"cannot read {path}: {e}")
+    except (ValueError, RecursionError) as e:
+        # Bad JSON syntax, bytes that are not UTF-8, or nesting too deep.
+        raise CliError(EXIT_PARSE, f"invalid JSON in {path}: {e}")
+    try:
+        labels, items = doc["events"], doc["probabilities"]
+    except (KeyError, TypeError) as e:
+        raise CliError(EXIT_PARSE, f"malformed input document: {e}")
+    if not (
+        isinstance(labels, list)
+        and all(isinstance(lab, str) for lab in labels)
+        and isinstance(items, list)
+    ):
+        raise CliError(
+            EXIT_PARSE,
+            'malformed input document: "events" must be a list of strings '
+            'and "probabilities" a list',
+        )
+    try:
+        "".join(labels).encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise CliError(EXIT_PARSE, f"malformed input document: an event label is not text: {e}")
+    return labels, items
+
+
 def _load_marginals(args: argparse.Namespace) -> MarginalSet:
     if args.probs:
+        labels, items = None, args.probs.split(",")
+    elif args.input:
+        labels, items = _read_document(args.input)
+    else:
+        raise CliError(EXIT_PARSE, "no marginals given: use -p or --input")
+    probs = []
+    for i, t in enumerate(items):
         try:
-            probs = [parse_probability(t) for t in args.probs.split(",")]
-        except (ValueError, ZeroDivisionError) as e:
-            raise CliError(EXIT_PARSE, f"cannot parse probability list {args.probs!r}: {e}")
-        return validate_marginals(default_event_set(len(probs)), probs)
-    if args.input:
-        try:
-            with open(args.input, encoding="utf-8") as f:
-                doc = json.load(f)
-        except OSError as e:
-            raise CliError(EXIT_IO, f"cannot read {args.input}: {e}")
-        except (ValueError, RecursionError) as e:
-            # Bad JSON syntax, bytes that are not UTF-8, or nesting too deep.
-            raise CliError(EXIT_PARSE, f"invalid JSON in {args.input}: {e}")
-        try:
-            labels = doc["events"]
-            probs = [parse_probability(str(t)) for t in doc["probabilities"]]
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
-            raise CliError(EXIT_PARSE, f"malformed input document: {e}")
-        if not (
-            isinstance(labels, list)
-            and all(isinstance(lab, str) for lab in labels)
-            and isinstance(doc["probabilities"], list)
-        ):
-            raise CliError(
-                EXIT_PARSE,
-                'malformed input document: "events" must be a list of strings '
-                'and "probabilities" a list',
-            )
-        try:
-            "".join(labels).encode("utf-8")
-        except UnicodeEncodeError as e:
-            raise CliError(EXIT_PARSE, f"malformed input document: an event label is not text: {e}")
-        return validate_marginals(make_event_set(labels), probs)
-    raise CliError(EXIT_PARSE, "no marginals given: use -p or --input")
+            probs.append(parse_probability(str(t)))
+        except ValueError as e:
+            raise CliError(EXIT_PARSE, f"cannot parse probability #{i}: {e}")
+    events = default_event_set(len(probs)) if labels is None else make_event_set(labels)
+    return validate_marginals(events, probs)
 
 
 def _fmt(args: argparse.Namespace) -> Callable[[int, int], str]:

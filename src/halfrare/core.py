@@ -72,11 +72,6 @@ class EventSet:
     def n(self) -> int:
         return len(self.labels)
 
-    @property
-    def full(self) -> int:
-        """Bitmask of the whole set."""
-        return (1 << self.n) - 1
-
 
 def make_event_set(labels: Sequence[str]) -> EventSet:
     return EventSet(tuple(labels))
@@ -103,7 +98,8 @@ def parse_probability(text: str) -> Fraction:
 
     The size is checked on the text, before the `Fraction` is built: a decimal
     may have at most MAX_PROBABILITY_DIGITS places (and an exponent of at most
-    that magnitude), a fraction at most that many digits on either side."""
+    that magnitude), a fraction at most that many digits on either side.  Every
+    failure is a ValueError quoting at most the first 24 characters."""
     text = text.strip()
     num, slash, den = text.partition("/")
     if slash:
@@ -112,11 +108,14 @@ def parse_probability(text: str) -> Fraction:
         try:
             exponent = Decimal(text).as_tuple().exponent
         except InvalidOperation:
-            exponent = 0  # not a number: Fraction says why
+            exponent = 0  # not a number: Fraction rejects it below
         digits = abs(exponent) if isinstance(exponent, int) else 0
     if digits > MAX_PROBABILITY_DIGITS:
         raise ValueError(f"{text[:24]!r} exceeds {MAX_PROBABILITY_DIGITS} digits")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{text[:24]!r} is not a decimal or a fraction a/b, b > 0") from None
 
 
 @dataclass(frozen=True)
@@ -154,33 +153,20 @@ def marginals_from_values(values: Sequence) -> MarginalSet:
 
 
 @dataclass(frozen=True)
-class HalfRareMarginalSet:
+class HalfRareMarginalSet(MarginalSet):
     """A MarginalSet with 1/2 >= p_1 >= p_2 >= ... >= p_N.
 
     The most probable event is always the first one by construction.
     """
 
-    inner: MarginalSet
-
     def __post_init__(self) -> None:
-        if not self.inner.is_half_rare():
-            raise NotHalfRare(f"probabilities violate the half-rare order: {self.inner.probs}")
-
-    @property
-    def events(self) -> EventSet:
-        return self.inner.events
-
-    @property
-    def probs(self) -> tuple[Fraction, ...]:
-        return self.inner.probs
-
-    @property
-    def n(self) -> int:
-        return self.inner.n
+        super().__post_init__()
+        if not self.is_half_rare():
+            raise NotHalfRare(f"probabilities violate the half-rare order: {self.probs}")
 
     @property
     def p_max(self) -> Fraction:
-        return self.inner.probs[0]
+        return self.probs[0]
 
 
 @dataclass(frozen=True)

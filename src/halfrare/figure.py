@@ -19,15 +19,14 @@ from .transforms import independent_epd
 #: Bars stop being legible past this many events.
 MAX_FIGURE_EVENTS = 8
 
+#: Pixels between the figure's edges and its plot area.
+MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 42, 12, 12, 32
+
 
 @dataclass(frozen=True)
 class FigureSpec:
     width_px: int = 640
     height_px: int = 480
-    margin_left: int = 42
-    margin_right: int = 12
-    margin_top: int = 12
-    margin_bottom: int = 32
 
     def __post_init__(self) -> None:
         if self.plot_width <= 0 or self.plot_height <= 0:
@@ -37,14 +36,14 @@ class FigureSpec:
 
     @property
     def plot_width(self) -> float:
-        return self.width_px - self.margin_left - self.margin_right
+        return self.width_px - MARGIN_LEFT - MARGIN_RIGHT
 
     @property
     def plot_height(self) -> float:
-        return self.height_px - self.margin_top - self.margin_bottom
+        return self.height_px - MARGIN_TOP - MARGIN_BOTTOM
 
     def y(self, value: Fraction) -> float:
-        return self.margin_top + (1 - float(value)) * self.plot_height
+        return MARGIN_TOP + (1 - float(value)) * self.plot_height
 
 
 def render_figure(m: MarginalSet, spec: FigureSpec = FigureSpec()) -> str:
@@ -72,8 +71,8 @@ def render_figure(m: MarginalSet, spec: FigureSpec = FigureSpec()) -> str:
         y = spec.y(q)
         parts.append(
             f'<line class="grid" stroke-dasharray="4 3" '
-            f'x1="{spec.margin_left}" y1="{y:.2f}" '
-            f'x2="{spec.width_px - spec.margin_right}" y2="{y:.2f}"/>'
+            f'x1="{MARGIN_LEFT}" y1="{y:.2f}" '
+            f'x2="{spec.width_px - MARGIN_RIGHT}" y2="{y:.2f}"/>'
         )
         parts.append(
             f'<text class="tick" x="4" y="{y + 3:.2f}">{k}/4</text>'
@@ -81,7 +80,7 @@ def render_figure(m: MarginalSet, spec: FigureSpec = FigureSpec()) -> str:
             else f'<text class="tick" x="4" y="{y + 3:.2f}">{k // 4}</text>'
         )
     for x in range(ncells):
-        cx = spec.margin_left + slot * (x + 0.5)
+        cx = MARGIN_LEFT + slot * (x + 0.5)
         left = cx - bar / 2
         y_up, y_star, y_lo = spec.y(bd.upper[x]), spec.y(star[x]), spec.y(bd.lower[x])
         parts.append(

@@ -104,21 +104,16 @@ def half_rare_map(probs: Sequence[Fraction]) -> PhenomenonMap:
 def half_rare_projection(m: MarginalSet) -> tuple[HalfRareMarginalSet, PhenomenonMap]:
     """The half-rare marginal set reached by `half_rare_map`, with its map."""
     pm = half_rare_map(m.probs)
-    return HalfRareMarginalSet(pm.map_marginals(m)), pm
+    t = pm.map_marginals(m)
+    return HalfRareMarginalSet(t.events, t.probs), pm
 
 
-def apply_phenomenon(
-    values: Sequence[Fraction], pm: PhenomenonMap, inverse: bool = False
-) -> tuple[Fraction, ...]:
-    """Renumber a dense power-set map; a bijection, so the value multiset is
-    preserved.  Forward puts the input value at X into slot perm(X xor C);
-    inverse pulls it back."""
+def apply_phenomenon(values: Sequence[Fraction], pm: PhenomenonMap) -> tuple[Fraction, ...]:
+    """Renumber a dense power-set map: the value at X moves to slot
+    perm(X xor C).  A bijection, so the value multiset is preserved."""
     if len(values) != 1 << pm.n:
         raise LengthMismatch(f"{len(values)} values for N={pm.n}")
-    table = pm.subset_table()
-    if inverse:
-        return tuple(values[y] for y in table)
     out = list(values)
-    for x, y in enumerate(table):
+    for x, y in enumerate(pm.subset_table()):
         out[y] = values[x]
     return tuple(out)

@@ -9,7 +9,7 @@ settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
 
 from halfrare import marginals_from_values
-from halfrare.core import HALF, HalfRareMarginalSet
+from halfrare.core import HALF, HalfRareMarginalSet, default_event_set
 
 unit_fraction = st.fractions(min_value=0, max_value=1, max_denominator=32)
 
@@ -24,4 +24,4 @@ def marginal_sets(draw, min_n=1, max_n=6):
 def half_rare_sets(draw, min_n=1, max_n=6):
     probs = draw(st.lists(unit_fraction, min_size=min_n, max_size=max_n))
     probs = sorted((min(p, HALF) for p in probs), reverse=True)
-    return HalfRareMarginalSet(marginals_from_values(probs))
+    return HalfRareMarginalSet(default_event_set(len(probs)), tuple(probs))

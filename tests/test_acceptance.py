@@ -57,7 +57,7 @@ def test_criterion_3_zero_pattern_sweep():
     ok = True
     for k in range(1000):
         m = random_marginals(2 + k % 7, 30_000 + k, half_rare=True)
-        h = HalfRareMarginalSet(m)
+        h = HalfRareMarginalSet(m.events, m.probs)
         for x in range(1 << m.n):
             closed = lower_bound_half_rare(x, h)
             if closed != lower_bound_general(x, m):

@@ -1,7 +1,8 @@
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from halfrare import (
@@ -79,25 +80,25 @@ class TestGeneralFormulas:
 
 class TestHalfRareFormulas:
     def test_upper_empty_set(self):
-        h = HalfRareMarginalSet(FIG_PENTAPLET)
+        h = HalfRareMarginalSet(FIG_PENTAPLET.events, FIG_PENTAPLET.probs)
         assert upper_bound_half_rare(0, h) == F(11, 20)
 
     def test_upper_min_over_members(self):
-        h = HalfRareMarginalSet(FIG_PENTAPLET)
+        h = HalfRareMarginalSet(FIG_PENTAPLET.events, FIG_PENTAPLET.probs)
         assert upper_bound_half_rare(0b10100, h) == F(1, 4)  # {x3, x5}
 
     def test_lower_examples(self):
-        h = HalfRareMarginalSet(FIG_DOUBLET)
+        h = HalfRareMarginalSet(FIG_DOUBLET.events, FIG_DOUBLET.probs)
         assert lower_bound_half_rare(0, h) == F(3, 20)
-        h2 = HalfRareMarginalSet(marginals_from_values(["0.5", "0.1"]))
+        h2 = HalfRareMarginalSet(default_event_set(2), (F(1, 2), F(1, 10)))
         assert lower_bound_half_rare(1, h2) == F(2, 5)
         assert lower_bound_half_rare(2, h2) == 0
 
     @given(half_rare_sets())
     def test_agreement_with_general(self, h):
         for x in range(1 << h.n):
-            assert lower_bound_half_rare(x, h) == lower_bound_general(x, h.inner)
-            assert upper_bound_half_rare(x, h) == upper_bound_general(x, h.inner)
+            assert lower_bound_half_rare(x, h) == lower_bound_general(x, h)
+            assert upper_bound_half_rare(x, h) == upper_bound_general(x, h)
 
     @given(half_rare_sets(min_n=2))
     def test_zero_pattern(self, h):
@@ -183,7 +184,7 @@ class TestDoublet:
     @given(half_rare_sets(min_n=2, max_n=2))
     def test_matches_dense_path(self, h):
         bd = doublet_bounds(*h.probs)
-        dense = boundary_distributions(h.inner)
+        dense = boundary_distributions(h)
         assert bd.lower == dense.lower
         assert bd.upper == dense.upper
 
@@ -191,27 +192,45 @@ class TestDoublet:
 class TestCovariance:
     def test_independent_distribution_zeroes(self):
         d = independent_epd(FIG_DOUBLET)
-        for x in range(4):
-            assert covariance_first_kind(d, FIG_DOUBLET, x) == 0
+        assert covariance_first_kind(d, FIG_DOUBLET) == (0, 0, 0, 0)
+
+    def test_independent_table_n12_is_zero_and_fast(self):
+        m = marginals_from_values([F(k, 25) for k in range(1, 13)])
+        d = independent_epd(m)
+        start = time.perf_counter()
+        cov = covariance_first_kind(d, m)
+        elapsed = time.perf_counter() - start
+        assert len(cov) == 1 << 12 and all(c == 0 for c in cov)
+        assert elapsed < 1.0  # the marginals are checked once, not per cell
+
+    @given(st.integers(min_value=1, max_value=4), st.data())
+    def test_table_matches_per_cell_definition(self, n, data):
+        atoms = data.draw(st.lists(unit_fraction, min_size=1 << n, max_size=1 << n))
+        assume(sum(atoms) > 0)
+        d = TerraceDistribution.from_atoms(default_event_set(n), [a / sum(atoms) for a in atoms])
+        m = validate_marginals(d.events, d.induced_marginals())
+        assert covariance_first_kind(d, m) == tuple(
+            d[x] - independent_value(x, m) for x in range(1 << n)
+        )
 
     def test_upper_attainment(self):
         # Mass of y pushed entirely inside x: p(xy) = p_y.
         d = TerraceDistribution.from_atoms(
             default_event_set(2), (F(11, 20), F(1, 20), F(0), F(2, 5))
         )
-        assert covariance_first_kind(d, FIG_DOUBLET, 3) == F(11, 50)
+        assert covariance_first_kind(d, FIG_DOUBLET)[3] == F(11, 50)
 
     def test_lower_attainment(self):
         # x and y disjoint: p(xy) = 0.
         d = TerraceDistribution.from_atoms(
             default_event_set(2), (F(3, 20), F(9, 20), F(2, 5), F(0))
         )
-        assert covariance_first_kind(d, FIG_DOUBLET, 3) == F(-9, 50)
+        assert covariance_first_kind(d, FIG_DOUBLET)[3] == F(-9, 50)
 
     def test_marginal_mismatch(self):
         d = independent_epd(marginals_from_values(["0.3", "0.3"]))
         with pytest.raises(MarginalMismatch):
-            covariance_first_kind(d, FIG_DOUBLET, 0)
+            covariance_first_kind(d, FIG_DOUBLET)
 
     def test_fig_doublet_intervals(self):
         cb = covariance_bounds_doublet(F(9, 20), F(2, 5))
@@ -240,5 +259,5 @@ class TestCovariance:
         bd = doublet_bounds(*h.probs)
         cb = covariance_bounds_doublet(*h.probs)
         for x in range(4):
-            s = independent_value(x, h.inner)
+            s = independent_value(x, h)
             assert cb.intervals[x] == (bd.lower[x] - s, bd.upper[x] - s)

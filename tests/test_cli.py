@@ -227,6 +227,10 @@ class TestPhenomenonCommand:
         (["bounds", "-i", "DOC"], {"events": ["a"], "probabilities": ["1e-201"]}, 2),
         (["bounds", "-i", "DOC"], {"events": ["a\nb"], "probabilities": ["0.4"]}, 3),
         (["bounds", "-i", "DOC"], {"events": ["a", "\x1b[2J"], "probabilities": ["0.4", "0.1"]}, 3),
+        (["bounds", "-p", ",".join(["1/" + "9" * 200] * 11 + ["1/" + "9" * 201])], None, 2),
+        (["bounds", "-p", "0.5," + "7" * 300 + "x"], None, 2),
+        (["bounds", "-i", "DOC"], {"events": ["a", "b"], "probabilities": ["0.4", "z" * 500]}, 2),
+        (["bounds", "-p", "0.5,1" + "0" * 150 + "/0"], None, 2),
     ],
     ids=[
         "bounds-digits-negative",
@@ -252,6 +256,10 @@ class TestPhenomenonCommand:
         "input-long-decimal",
         "label-newline",
         "label-escape",
+        "long-list-one-too-long",
+        "long-non-numeric",
+        "input-long-non-numeric",
+        "zero-denominator",
     ],
 )
 def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):
@@ -272,6 +280,10 @@ def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "fig.svg").exists()
+    if not proc.stderr.startswith("usage:"):
+        # One line that names the problem without echoing the whole input.
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert len(proc.stderr.replace(str(tmp_path), "").encode()) < 200
     if "1e-2000000" in argv:
         assert elapsed < 1.0  # rejected from the text, before 10^2000000 is built
 

@@ -96,9 +96,21 @@ class TestMarginals:
 
     def test_half_rare_rejects_bad_order(self):
         with pytest.raises(NotHalfRare):
-            HalfRareMarginalSet(marginals_from_values(["0.40", "0.45"]))
+            HalfRareMarginalSet(default_event_set(2), (Fraction(2, 5), Fraction(9, 20)))
         with pytest.raises(NotHalfRare):
-            HalfRareMarginalSet(marginals_from_values(["0.6", "0.4"]))
+            HalfRareMarginalSet(default_event_set(2), (Fraction(3, 5), Fraction(2, 5)))
+
+    def test_half_rare_is_a_marginal_set(self):
+        assert issubclass(HalfRareMarginalSet, MarginalSet)
+        h = HalfRareMarginalSet(default_event_set(2), (Fraction(9, 20), Fraction(2, 5)))
+        assert h.n == 2 and h.p_max == Fraction(9, 20)
+
+    def test_half_rare_checks_range_before_order(self):
+        es = make_event_set(["x"])
+        with pytest.raises(ProbabilityOutOfRange):
+            HalfRareMarginalSet(es, (Fraction(3, 2),))
+        with pytest.raises(LengthMismatch):
+            HalfRareMarginalSet(es, (Fraction(1, 2), Fraction(1, 2)))
 
 
 class TestSubsets:

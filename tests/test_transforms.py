@@ -84,12 +84,12 @@ class TestHalfRareProjection:
     @given(marginal_sets())
     def test_output_is_half_rare(self, m):
         h, _ = half_rare_projection(m)
-        assert h.inner.is_half_rare()
+        assert h.is_half_rare()
 
     @given(marginal_sets())
     def test_idempotence(self, m):
         h, _ = half_rare_projection(m)
-        h2, pm2 = half_rare_projection(h.inner)
+        h2, pm2 = half_rare_projection(h)
         assert h2.probs == h.probs
         assert pm2 == identity_phenomenon(h.n)
 
@@ -126,7 +126,8 @@ class TestApplyPhenomenon:
         values = tuple(data.draw(st.lists(unit_fraction, min_size=2**n, max_size=2**n)))
         out = apply_phenomenon(values, pm)
         assert sorted(out) == sorted(values)
-        assert apply_phenomenon(out, pm, inverse=True) == values
+        table = pm.subset_table()
+        assert all(out[table[x]] == values[x] for x in range(2**n))
 
     @given(st.integers(min_value=1, max_value=6), st.data())
     def test_subset_table_matches_definition(self, n, data):
@@ -139,6 +140,6 @@ class TestApplyPhenomenon:
     @given(marginal_sets())
     def test_commutes_with_independence(self, m):
         h, pm = half_rare_projection(m)
-        direct = independent_epd(h.inner).atoms
+        direct = independent_epd(h).atoms
         transported = apply_phenomenon(independent_epd(m).atoms, pm)
         assert direct == transported
