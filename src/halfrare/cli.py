@@ -47,6 +47,7 @@ EXIT_IO = 5
 #: Largest --digits: Python's smallest settable integer string limit, so a
 #: decimal never trips the limit; --exact gives full precision.
 MAX_DIGITS = 640
+DEFAULT_DIGITS = 6
 
 
 class CliError(Exception):
@@ -107,7 +108,7 @@ def _fmt(args: argparse.Namespace) -> Callable[[int, int], str]:
     """The cell formatter: numerator, denominator -> text."""
     if args.exact:
         return format_exact
-    digits = args.digits
+    digits = DEFAULT_DIGITS if args.digits is None else args.digits
     return lambda num, den: format_decimal(num, den, digits)
 
 
@@ -225,10 +226,14 @@ def _report_dict(report: _oracle.VerificationReport) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.random:
+        n = 3 if args.n is None else args.n
+        seed = 0 if args.seed is None else args.seed
         instances = [
-            _oracle.random_marginals(args.n, args.seed + k, half_rare=args.half_rare)
+            _oracle.random_marginals(n, seed + k, half_rare=args.half_rare)
             for k in range(args.random)
         ]
+    elif args.n is not None or args.half_rare or args.seed is not None:
+        raise CliError(EXIT_PARSE, "--n, --half-rare and --seed need --random K with K >= 1")
     else:
         instances = [_load_marginals(args)]
     reports = [_oracle.verify_bounds(m) for m in instances]
@@ -299,17 +304,23 @@ def digit_count(text: str) -> int:
     return value
 
 
-def _add_input_args(p: argparse.ArgumentParser) -> None:
+def _add_input_args(p: argparse.ArgumentParser):
+    """-p and -i, in a group whose options exclude each other; returned so
+    that `verify` can add --random to it."""
     source = p.add_mutually_exclusive_group()
     source.add_argument("-p", "--probs",
                         help="comma list of probabilities, events auto-named x1..xN")
     source.add_argument("-i", "--input", help="JSON file with events and probabilities")
+    return source
 
 
 def _add_number_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--exact", action="store_true", help="print fractions instead of decimals")
-    p.add_argument("--digits", type=digit_count, default=6,
-                   help=f"decimal rendering digits, 0..{MAX_DIGITS}")
+    # No argparse default: the group's check skips a value that is the default
+    # object, as a small int is, so `--digits 6 --exact` would pass.
+    number = p.add_mutually_exclusive_group()
+    number.add_argument("--exact", action="store_true", help="print fractions instead of decimals")
+    number.add_argument("--digits", type=digit_count,
+                        help=f"decimal rendering digits, 0..{MAX_DIGITS}, default {DEFAULT_DIGITS}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,12 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="LP sharpness verification report")
-    _add_input_args(p)
-    p.add_argument("--random", type=non_negative_int, default=0, metavar="K",
-                   help="verify K randomly drawn marginal sets instead of one input")
-    p.add_argument("--n", type=int, default=3, help="event count for --random")
-    p.add_argument("--half-rare", action="store_true", help="draw half-rare marginals")
-    p.add_argument("--seed", type=int, default=0)
+    _add_input_args(p).add_argument(
+        "--random", type=non_negative_int, metavar="K",
+        help="verify K randomly drawn marginal sets instead of one input")
+    p.add_argument("--n", type=int, help="event count for --random, default 3")
+    p.add_argument("--half-rare", action="store_true", help="draw half-rare marginals for --random")
+    p.add_argument("--seed", type=int, help="first seed for --random, default 0")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("figure", help="render the interval chart as SVG")

@@ -3,12 +3,14 @@
 Each terrace probability is extremized over the polytope of joint
 distributions with the given marginals (2^N atom variables, N+1 equality
 constraints, atoms >= 0).  The solver is a dense one-phase simplex over exact
-rationals with Bland's rule.  It starts at the comonotone joint, a vertex built
-from the marginals alone, so no artificial basis is needed and the closed
-forms play no part in the search.  Optima compare to the closed forms by exact
-equality, and every reported witness is a vertex of the polytope, returned as
-a `TerraceDistribution`.  `lp_extremize_terrace` is the one place the LP cap
-MAX_LP_EVENTS is checked.
+rationals with Bland's rule.  It starts at the comonotone joint, a vertex whose
+basis is the chain of cells {} < {s1} < {s1, s2} < ..., s sorting the events by
+descending p.  That basis is unit triangular and its inverse is a difference
+operator, so the start tableau is written from the marginals alone, with no
+pivot, and the closed forms play no part in the search.  Optima compare to the
+closed forms by exact equality, and every reported witness is a vertex of the
+polytope, returned as a `TerraceDistribution`.  `lp_extremize_terrace` is the
+one place the LP cap MAX_LP_EVENTS is checked.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .bounds import boundary_distributions
 from .core import (
@@ -65,25 +68,12 @@ class VerificationReport:
         return None
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    prow = tableau[row]
-    for r, trow in enumerate(tableau):
-        if r == row:
-            continue
-        f = trow[col]
-        if f:
-            tableau[r] = [v - f * w for v, w in zip(trow, prow)]
-    basis[row] = col
-
-
-def _simplex(tableau: list[list[Fraction]], basis: list[int], ncols: int) -> None:
-    """Minimize the objective in the last tableau row over the first `ncols`
-    columns; Bland's rule, exact arithmetic."""
+def _simplex(tableau: list[list[Fraction]], basis: list[int]) -> None:
+    """Minimize the objective in the last tableau row; Bland's rule, exact
+    arithmetic."""
     obj = tableau[-1]
     while True:
-        col = next((j for j in range(ncols) if obj[j] < ZERO), -1)
+        col = next((j for j in range(len(obj) - 1) if obj[j] < ZERO), -1)
         if col < 0:
             return
         row, best = -1, None
@@ -95,28 +85,34 @@ def _simplex(tableau: list[list[Fraction]], basis: list[int], ncols: int) -> Non
                     row, best = r, ratio
         if row < 0:
             raise Infeasible("unbounded LP over a probability polytope")
-        _pivot(tableau, basis, row, col)
+        piv = tableau[row][col]
+        prow = tableau[row] = [v / piv for v in tableau[row]]
+        for r, trow in enumerate(tableau):
+            if r != row and trow[col]:
+                f = trow[col]
+                tableau[r] = [v - f * w for v, w in zip(trow, prow)]
+        basis[row] = col
         obj = tableau[-1]
 
 
 def _vertex_tableau(m: MarginalSet) -> tuple[list[list[Fraction]], list[int]]:
-    """Constraint rows [1 ... 1 | 1] and [indicator_i | p_i], pivoted onto the
-    comonotone joint: the chain of cells {} < {s1} < {s1, s2} < ... < full,
-    s sorting the events by descending p, with atoms p_(k) - p_(k+1) >= 0.
-
-    In the rows 0, 1 + s1, 1 + s2, ... the chain columns are unit upper
-    triangular, and pivoting down that diagonal leaves every later diagonal
-    entry at 1, so the basis is nonsingular and its solution feasible."""
+    """B^-1 [A | b] at the comonotone joint, A having the rows [1 ... 1 | 1]
+    and [indicator_i | p_i].  Row k holds the chain cell c_k = {s_1, ..., s_k},
+    s sorting the events by descending p, ties in input order.  Column w reads
+    [s_k in w] - [s_(k+1) in w] and the right-hand side p_(k) - p_(k+1) >= 0,
+    with s_0 in every cell and s_(N+1) in none, p_(0) = 1 and p_(N+1) = 0.  It
+    is B^-1 because c_k holds s_j exactly for k >= j: summed over all k the
+    rows telescope to the ones row, and over k >= j to the row of s_j."""
     ncells = 1 << m.n
-    tableau = [[ONE] * (ncells + 1)]
-    for i, p in enumerate(m.probs):
-        tableau.append([ONE if (w >> i) & 1 else ZERO for w in range(ncells)] + [p])
-    basis = [0] * (m.n + 1)  # row 0 already holds the empty cell's unit column
-    cell = 0
-    for i in sorted(range(m.n), key=lambda i: -m.probs[i]):
-        cell |= 1 << i
-        _pivot(tableau, basis, 1 + i, cell)
-    return tableau, basis
+    order = sorted(range(m.n), key=lambda i: -m.probs[i])
+    inside = [[1] * ncells] + [[w >> i & 1 for w in range(ncells)] for i in order] + [[0] * ncells]
+    p = [ONE] + [m.probs[i] for i in order] + [ZERO]
+    unit = (ZERO, ONE, -ONE)  # indexed by a difference in {0, 1, -1}
+    tableau = [
+        [unit[a - b] for a, b in zip(inside[k], inside[k + 1])] + [p[k] - p[k + 1]]
+        for k in range(m.n + 1)
+    ]
+    return tableau, list(accumulate((1 << i for i in order), int.__or__, initial=0))
 
 
 def lp_extremize_terrace(
@@ -137,7 +133,7 @@ def lp_extremize_terrace(
     if x in basis:
         obj = [v - sign * w for v, w in zip(obj, tableau[basis.index(x)])]
     tableau.append(obj)
-    _simplex(tableau, basis, ncells)
+    _simplex(tableau, basis)
     atoms = [ZERO] * ncells
     for r, j in enumerate(basis):
         atoms[j] = tableau[r][-1]

@@ -231,6 +231,14 @@ class TestPhenomenonCommand:
         (["bounds", "-p", "0.5," + "7" * 300 + "x"], None, 2),
         (["bounds", "-i", "DOC"], {"events": ["a", "b"], "probabilities": ["0.4", "z" * 500]}, 2),
         (["bounds", "-p", "0.5,1" + "0" * 150 + "/0"], None, 2),
+        (["verify", "-p", "0.45,0.40", "--random", "1"], None, 2),
+        (["verify", "--random", "0", "-p", "0.45,0.40"], None, 2),
+        (["verify", "-i", "DOC", "--random", "2"], {"events": ["a"], "probabilities": ["0.4"]}, 2),
+        (["verify", "-p", "0.45,0.40", "--n", "5", "--half-rare", "--seed", "3"], None, 2),
+        (["verify", "-p", "0.45,0.40", "--seed", "0"], None, 2),
+        (["bounds", "-p", "0.45,0.40", "--digits", "3", "--exact"], None, 2),
+        (["bounds", "-p", "0.45,0.40", "--exact", "--digits", "6"], None, 2),
+        (["phenomenon", "-p", "0.45,0.40", "--kept", "x1", "--digits", "6", "--exact"], None, 2),
     ],
     ids=[
         "bounds-digits-negative",
@@ -260,6 +268,14 @@ class TestPhenomenonCommand:
         "long-non-numeric",
         "input-long-non-numeric",
         "zero-denominator",
+        "verify-probs-and-random",
+        "verify-random-zero-and-probs",
+        "verify-input-and-random",
+        "verify-random-flags-without-random",
+        "verify-seed-default-without-random",
+        "bounds-exact-and-digits",
+        "bounds-exact-and-default-digits",
+        "phenomenon-exact-and-default-digits",
     ],
 )
 def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halfrare import (
@@ -19,6 +19,7 @@ from halfrare import (
     verify_bounds,
 )
 from halfrare.errors import IndexOutOfRange, TooLarge
+from halfrare.oracle import _vertex_tableau
 
 from conftest import marginal_sets
 
@@ -98,6 +99,38 @@ class TestSimplexAgainstBruteForce:
     )
     def test_degenerate_instances(self, probs):
         assert_lp_matches_brute_force(marginals_from_values(probs))
+
+
+def _constraint_column(w, n):
+    """The column of atom w in [A | b]'s constraint rows: (1, 1[i in w])_i."""
+    return [1] + [(w >> i) & 1 for i in range(n)]
+
+
+class TestStartVertex:
+    @settings(max_examples=200)
+    @given(marginal_sets(max_n=6))
+    @example(marginals_from_values([0, F(1, 2), 1, F(1, 2), 0, 1]))
+    @example(marginals_from_values([F(1, 3)] * 5))
+    @example(marginals_from_values([1, 0]))
+    def test_written_start_is_basis_inverse(self, m):
+        tableau, basis = _vertex_tableau(m)
+        ncells = 1 << m.n
+        assert len(tableau) == len(basis) == m.n + 1
+        assert all(len(row) == ncells + 1 for row in tableau)
+        chain = [_constraint_column(c, m.n) for c in basis]
+
+        def rebuild(col):
+            return [sum(row[col] * a[i] for row, a in zip(tableau, chain)) for i in range(m.n + 1)]
+
+        # B T = [A | b], so T = B^-1 [A | b] once B is the basis it names.
+        for w in range(ncells):
+            assert rebuild(w) == _constraint_column(w, m.n)
+        assert rebuild(ncells) == [1, *m.probs]
+        assert all(row[-1] >= 0 for row in tableau)
+        # The basis is the comonotone chain: events added by descending p,
+        # ties in input order.
+        order = sorted(range(m.n), key=lambda i: (-m.probs[i], i))
+        assert basis == [sum(1 << i for i in order[:k]) for k in range(m.n + 1)]
 
 
 class TestLpExtremize:
