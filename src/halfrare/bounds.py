@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (
     ONE,
@@ -34,11 +35,29 @@ from .transforms import half_rare_map, independent_epd
 
 @dataclass(frozen=True)
 class BoundaryDistributions:
-    """Dense lower and upper Fréchet bounds over the full power set."""
+    """Lower and upper Fréchet bounds over the full power set, stored as their
+    few distinct levels and one renumbering.
+
+    `table[X]` is the half-rare image y of subset X; the bounds at X are
+    `lows[min(y, 2)]` and `ups[y.bit_length()]`.  `lows` holds the 3 lower
+    levels (empty set, top singleton, everything else) and `ups` the N+1
+    upper levels (1 - p_1, p_1, ..., p_N in half-rare order).  `lower` and
+    `upper` are the dense 2^N tuples, built on first read."""
 
     events: EventSet
-    lower: tuple[Fraction, ...]
-    upper: tuple[Fraction, ...]
+    table: tuple[int, ...]
+    lows: tuple[Fraction, ...]
+    ups: tuple[Fraction, ...]
+
+    @cached_property
+    def lower(self) -> tuple[Fraction, ...]:
+        lows = self.lows
+        return tuple(lows[y if y < 2 else 2] for y in self.table)
+
+    @cached_property
+    def upper(self) -> tuple[Fraction, ...]:
+        ups = self.ups
+        return tuple(ups[y.bit_length()] for y in self.table)
 
 
 @dataclass(frozen=True)
@@ -91,12 +110,11 @@ def boundary_distributions(m: MarginalSet) -> BoundaryDistributions:
     pm = half_rare_map(m.probs)
     p = pm.map_probs(m.probs)
     rest = sum(p) - p[0]
-    lo = (max(ZERO, ONE - p[0] - rest), max(ZERO, p[0] - rest))
-    table = pm.subset_table()
     return BoundaryDistributions(
         m.events,
-        tuple(lo[y] if y < 2 else ZERO for y in table),
-        tuple(p[y.bit_length() - 1] if y else ONE - p[0] for y in table),
+        tuple(pm.subset_table()),
+        (max(ZERO, ONE - p[0] - rest), max(ZERO, p[0] - rest), ZERO),
+        (ONE - p[0], *p),
     )
 
 
@@ -109,9 +127,9 @@ def doublet_bounds(p_x: Fraction, p_y: Fraction) -> BoundaryDistributions:
     (empty, {x}, {y}, {x,y})."""
     m = _doublet_marginals(p_x, p_y)
     p_x, p_y = m.probs
-    lower = (ONE - p_x - p_y, p_x - p_y, ZERO, ZERO)
-    upper = (ONE - p_x, p_x, p_y, p_y)
-    return BoundaryDistributions(m.events, lower, upper)
+    return BoundaryDistributions(
+        m.events, (0, 1, 2, 3), (ONE - p_x - p_y, p_x - p_y, ZERO), (ONE - p_x, p_x, p_y)
+    )
 
 
 def covariance_first_kind(d: TerraceDistribution, m: MarginalSet) -> tuple[Fraction, ...]:

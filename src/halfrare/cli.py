@@ -7,9 +7,11 @@ Exit codes: 0 ok, 2 parse error, 3 validation error, 4 verification failure,
 devnull, as the "Note on SIGPIPE" in the Python `signal` docs advises, so the
 interpreter's last flush does not fail again.
 
-Bound tables are written one row at a time in every format.  The star column
-is formatted from the integer numerators of `independent_epd` over their one
-denominator, so no cell becomes a `Fraction` unless `--exact` prints it.
+Bound tables are written one row at a time in every format.  Only the star
+column is formatted per row, from the integer numerators of `independent_epd`
+over their one denominator.  The lower and upper columns take at most 3 and
+N+1 distinct values, the levels of `BoundaryDistributions`: each is formatted
+once, and a row picks its two strings through the half-rare renumbering.
 """
 
 from __future__ import annotations
@@ -137,17 +139,14 @@ def _bound_rows(m: MarginalSet, fmt: Callable[[int, int], str], labels: Sequence
     """(indicator, labels, lower, star, upper) for each subset, one at a time;
     `labels` names the events as the writer prints them."""
     bd = _bounds.boundary_distributions(m)
+    lows = [fmt(q.numerator, q.denominator) for q in bd.lows]
+    ups = [fmt(q.numerator, q.denominator) for q in bd.ups]
+    table = bd.table
     star = _transforms.independent_epd(m)
     nums, den = star.numerators, star.den
     for x, (s, labs) in enumerate(_subsets(labels)):
-        lower, upper = bd.lower[x], bd.upper[x]
-        yield (
-            s,
-            labs,
-            fmt(lower.numerator, lower.denominator),
-            fmt(nums[x], den),
-            fmt(upper.numerator, upper.denominator),
-        )
+        y = table[x]
+        yield s, labs, lows[y if y < 2 else 2], fmt(nums[x], den), ups[y.bit_length()]
 
 
 #: Between two label items of a JSON row, as json.dump(..., indent=2) puts them.
@@ -297,6 +296,13 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def digit_count(text: str) -> int:
     value = non_negative_int(text)
     if value > MAX_DIGITS:
@@ -338,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="LP sharpness verification report")
     _add_input_args(p).add_argument(
-        "--random", type=non_negative_int, metavar="K",
+        "--random", type=positive_int, metavar="K",
         help="verify K randomly drawn marginal sets instead of one input")
     p.add_argument("--n", type=int, help="event count for --random, default 3")
     p.add_argument("--half-rare", action="store_true", help="draw half-rare marginals for --random")

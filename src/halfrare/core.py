@@ -3,10 +3,11 @@ distributions and bitmask subset indexing.
 
 Each type checks its own invariant once, when it is built, and code that holds
 one does not check it again: an `EventSet` has 1 to MAX_EVENTS distinct labels
-(the only dense size guard), a `MarginalSet` one probability in [0, 1] per
-event, and a `TerraceDistribution` 2^N nonnegative integer numerators summing
-to its one denominator.  `make_event_set`, `default_event_set` and
-`validate_marginals` only coerce their arguments to tuples and `Fraction`s.
+(`check_event_count` is the only dense size guard), a `MarginalSet` one
+probability in [0, 1] per event, and a `TerraceDistribution` 2^N nonnegative
+integer numerators summing to its one denominator.  `make_event_set`,
+`default_event_set` and `validate_marginals` only coerce their arguments to
+tuples and `Fraction`s; `default_event_set` runs the size guard on n first.
 
 Probabilities are carried as `fractions.Fraction` everywhere; decimals are a
 rendering concern only.  Subsets of an N-event set are plain ints in
@@ -51,6 +52,12 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
+def check_event_count(n: int) -> None:
+    """The dense size guard: N events fit the 2^N tables only for N <= MAX_EVENTS."""
+    if n > MAX_EVENTS:
+        raise TooLarge(f"N={n} exceeds the dense cap {MAX_EVENTS}")
+
+
 @dataclass(frozen=True)
 class EventSet:
     """An ordered set of 1 to MAX_EVENTS distinctly labeled events."""
@@ -62,8 +69,7 @@ class EventSet:
             raise EmptySet("an event set needs at least one event")
         if len(set(self.labels)) != len(self.labels):
             raise DuplicateLabel(f"labels are not pairwise distinct: {self.labels}")
-        if len(self.labels) > MAX_EVENTS:
-            raise TooLarge(f"N={len(self.labels)} exceeds the dense cap {MAX_EVENTS}")
+        check_event_count(len(self.labels))
         for lab in self.labels:
             if _CONTROL.search(lab):
                 raise InvalidLabel(f"label {lab!r} holds a control character")
@@ -78,7 +84,9 @@ def make_event_set(labels: Sequence[str]) -> EventSet:
 
 
 def default_event_set(n: int) -> EventSet:
-    """Events auto-named x1..xN."""
+    """Events auto-named x1..xN; a too-large n is rejected before any label
+    is built."""
+    check_event_count(n)
     return EventSet(tuple(f"x{i + 1}" for i in range(n)))
 
 

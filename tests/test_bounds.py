@@ -27,25 +27,12 @@ from halfrare.core import (
 )
 from halfrare.errors import IndexOutOfRange, MarginalMismatch, NotHalfRare
 
-from conftest import half_rare_sets, marginal_sets, unit_fraction
+from conftest import half_rare_sets, marginal_sets, tied_marginal_sets, unit_fraction
 
 F = Fraction
 
 FIG_DOUBLET = marginals_from_values(["0.45", "0.40"])
 FIG_PENTAPLET = marginals_from_values(["0.45", "0.40", "0.35", "0.30", "0.25"])
-
-
-@st.composite
-def tied_marginal_sets(draw, max_n=10):
-    """Marginal sets of up to 10 events that often repeat a probability and
-    often hit 0, 1/2 or 1, where the projection's complements and sort ties
-    decide the renumbering."""
-    edges = st.sampled_from([F(0), F(1, 2), F(1)])
-    pool = draw(st.lists(edges | unit_fraction, min_size=1, max_size=3))
-    probs = draw(st.lists(
-        st.sampled_from(pool) | edges | unit_fraction, min_size=1, max_size=max_n
-    ))
-    return marginals_from_values(probs)
 
 
 class TestGeneralFormulas:
@@ -154,6 +141,15 @@ class TestBoundaryDistributions:
         bd = boundary_distributions(m)
         assert bd.lower == tuple(lower_bound_general(x, m) for x in range(4))
         assert bd.upper == tuple(upper_bound_general(x, m) for x in range(4))
+
+    @given(tied_marginal_sets())
+    def test_dense_views_read_the_levels(self, m):
+        bd = boundary_distributions(m)
+        assert len(bd.table) == 1 << m.n and sorted(bd.table) == list(range(1 << m.n))
+        assert len(bd.lows) == 3 and len(bd.ups) == m.n + 1
+        for x, y in enumerate(bd.table):
+            assert bd.lower[x] == bd.lows[min(y, 2)]
+            assert bd.upper[x] == bd.ups[y.bit_length()]
 
     @given(marginal_sets())
     def test_sandwich_and_sum_envelope(self, m):

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import halfrare
+from halfrare import cli, independent_value, lower_bound_general, upper_bound_general
 from halfrare.cli import main
+from halfrare.core import format_decimal
+
+from conftest import tied_marginal_sets
 
 F = Fraction
 
@@ -96,6 +101,41 @@ class TestBoundsCommand:
         _, first, _ = run(capsys, "bounds", "-p", "0.45,0.40", "--format", "json")
         _, second, _ = run(capsys, "bounds", "-p", "0.45,0.40", "--format", "json")
         assert first == second
+
+    @given(tied_marginal_sets(max_n=7))
+    def test_rows_match_per_cell_closed_forms(self, m):
+        probs = ",".join(str(p) for p in m.probs)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["bounds", "-p", probs, "--format", "csv", "--exact"]) == 0
+        rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+        assert len(rows) == 1 << m.n
+        for r in rows:
+            x = int(r["subset"][::-1], 2)
+            assert F(r["lower"]) == lower_bound_general(x, m)
+            assert F(r["star"]) == independent_value(x, m)
+            assert F(r["upper"]) == upper_bound_general(x, m)
+
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["bounds", "-p", probs, "--format", "json", "--digits", "3"]) == 0
+        for x, r in enumerate(json.loads(out.getvalue())["rows"]):
+            for key, v in (("lower", lower_bound_general(x, m)),
+                           ("star", independent_value(x, m)),
+                           ("upper", upper_bound_general(x, m))):
+                assert r[key] == format_decimal(v.numerator, v.denominator, 3)
+
+    @pytest.mark.parametrize("name, extra", [("format_decimal", []),
+                                             ("format_exact", ["--exact"])])
+    def test_bound_levels_formatted_once(self, capsys, monkeypatch, name, extra):
+        calls = []
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a: calls.append(a) or fn(*a))
+        probs = "0.45,0.7,1/3,1/3,0,1,0.5,2/3,0.9,0.2"
+        code, out, _ = run(capsys, "bounds", "-p", probs, "--format", "csv", *extra)
+        assert code == 0 and len(out.splitlines()) == 1 + 2**10
+        # One star cell per row, plus 3 lower and N+1 upper levels.
+        assert len(calls) <= 2**10 + 10 + 4
 
 
 class TestVerifyCommand:
@@ -207,6 +247,7 @@ class TestPhenomenonCommand:
         (["bounds", "-p", "0.45,0.40", "--digits", "-1"], None, 2),
         (["phenomenon", "-p", "0.45,0.40", "--kept", "x1", "--digits", "-1"], None, 2),
         (["verify", "--random", "-2"], None, 2),
+        (["verify", "--random", "0"], None, 2),
         (["figure", "-p", "0.45,0.40", "--width", "0"], None, 3),
         (["figure", "-p", "0.45,0.40", "--height", "44"], None, 3),
         (["bounds", "-i", "DOC"], {"events": [1, 2], "probabilities": ["0.45", "0.4"]}, 2),
@@ -244,6 +285,7 @@ class TestPhenomenonCommand:
         "bounds-digits-negative",
         "phenomenon-digits-negative",
         "verify-random-negative",
+        "verify-random-zero",
         "figure-width-zero",
         "figure-no-plot-height",
         "events-not-strings",
@@ -302,6 +344,24 @@ def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):
         assert len(proc.stderr.replace(str(tmp_path), "").encode()) < 200
     if "1e-2000000" in argv:
         assert elapsed < 1.0  # rejected from the text, before 10^2000000 is built
+    if argv[:2] == ["verify", "--random"]:
+        assert "--random" in proc.stderr
+
+
+def test_huge_random_n_exits_3():
+    # The size guard runs on n before any label is built.  Were it to run
+    # after, the child would allocate until killed, so its address space is
+    # capped to make that a quick failure here.
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "halfrare", "verify", "--random", "1", "--n", "1000000000000"],
+        capture_output=True, text=True, env=env, timeout=20, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "error: N=1000000000000 exceeds the dense cap 20\n"
 
 
 def test_closed_pipe_exits_5():
