@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from typing import Callable
 
 from .core import (
     ONE,
@@ -35,29 +35,14 @@ from .transforms import half_rare_map, independent_epd
 
 @dataclass(frozen=True)
 class BoundaryDistributions:
-    """Lower and upper Fréchet bounds over the full power set, stored as their
-    few distinct levels and one renumbering.
-
-    `table[X]` is the half-rare image y of subset X; the bounds at X are
-    `lows[min(y, 2)]` and `ups[y.bit_length()]`.  `lows` holds the 3 lower
-    levels (empty set, top singleton, everything else) and `ups` the N+1
-    upper levels (1 - p_1, p_1, ..., p_N in half-rare order).  `lower` and
-    `upper` are the dense 2^N tuples, built on first read."""
+    """Lower and upper Fréchet bounds over the full power set, one cell per
+    subset in ascending bitmask order.  A cell is the bound itself or, from
+    `boundary_distributions(m, level)`, `level` of it; either way the two
+    columns hold at most N+4 distinct objects."""
 
     events: EventSet
-    table: tuple[int, ...]
-    lows: tuple[Fraction, ...]
-    ups: tuple[Fraction, ...]
-
-    @cached_property
-    def lower(self) -> tuple[Fraction, ...]:
-        lows = self.lows
-        return tuple(lows[y if y < 2 else 2] for y in self.table)
-
-    @cached_property
-    def upper(self) -> tuple[Fraction, ...]:
-        ups = self.ups
-        return tuple(ups[y.bit_length()] for y in self.table)
+    lower: tuple
+    upper: tuple
 
 
 @dataclass(frozen=True)
@@ -103,18 +88,27 @@ def lower_bound_half_rare(x: int, h: HalfRareMarginalSet) -> Fraction:
     return ZERO
 
 
-def boundary_distributions(m: MarginalSet) -> BoundaryDistributions:
+def boundary_distributions(
+    m: MarginalSet, level: Callable[[Fraction], object] = lambda q: q
+) -> BoundaryDistributions:
     """Dense bounds over all 2^N subsets, by the half-rare reduction: project
     the marginals to the half-rare case and read its closed forms at each
-    subset's image under the one renumbering.  Labels play no part."""
+    subset's image y under the one renumbering.  Labels play no part.
+
+    The lower bound takes 3 values (at y = 0, at y = 1 and 0 elsewhere) and
+    the upper bound N+1 (1 - p_1 at y = 0, else p at y's highest bit), so
+    `level` is applied to each of those N+4 values once and every cell holds
+    one of the results."""
     pm = half_rare_map(m.probs)
     p = pm.map_probs(m.probs)
     rest = sum(p) - p[0]
+    lows = [level(q) for q in (max(ZERO, ONE - p[0] - rest), max(ZERO, p[0] - rest), ZERO)]
+    ups = [level(q) for q in (ONE - p[0], *p)]
+    table = pm.subset_table()
     return BoundaryDistributions(
         m.events,
-        tuple(pm.subset_table()),
-        (max(ZERO, ONE - p[0] - rest), max(ZERO, p[0] - rest), ZERO),
-        (ONE - p[0], *p),
+        tuple(lows[y if y < 2 else 2] for y in table),
+        tuple(ups[y.bit_length()] for y in table),
     )
 
 
@@ -128,7 +122,7 @@ def doublet_bounds(p_x: Fraction, p_y: Fraction) -> BoundaryDistributions:
     m = _doublet_marginals(p_x, p_y)
     p_x, p_y = m.probs
     return BoundaryDistributions(
-        m.events, (0, 1, 2, 3), (ONE - p_x - p_y, p_x - p_y, ZERO), (ONE - p_x, p_x, p_y)
+        m.events, (ONE - p_x - p_y, p_x - p_y, ZERO, ZERO), (ONE - p_x, p_x, p_y, p_y)
     )
 
 

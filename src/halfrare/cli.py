@@ -9,9 +9,9 @@ interpreter's last flush does not fail again.
 
 Bound tables are written one row at a time in every format.  Only the star
 column is formatted per row, from the integer numerators of `independent_epd`
-over their one denominator.  The lower and upper columns take at most 3 and
-N+1 distinct values, the levels of `BoundaryDistributions`: each is formatted
-once, and a row picks its two strings through the half-rare renumbering.
+over their one denominator.  The lower and upper columns take at most N+4
+distinct values, and `boundary_distributions` is handed the cell formatter so
+that it formats each of them once.
 """
 
 from __future__ import annotations
@@ -138,15 +138,11 @@ def _subsets(labels: Sequence[str]) -> Iterator[tuple[str, tuple[str, ...]]]:
 def _bound_rows(m: MarginalSet, fmt: Callable[[int, int], str], labels: Sequence[str]):
     """(indicator, labels, lower, star, upper) for each subset, one at a time;
     `labels` names the events as the writer prints them."""
-    bd = _bounds.boundary_distributions(m)
-    lows = [fmt(q.numerator, q.denominator) for q in bd.lows]
-    ups = [fmt(q.numerator, q.denominator) for q in bd.ups]
-    table = bd.table
+    bd = _bounds.boundary_distributions(m, lambda q: fmt(q.numerator, q.denominator))
     star = _transforms.independent_epd(m)
-    nums, den = star.numerators, star.den
-    for x, (s, labs) in enumerate(_subsets(labels)):
-        y = table[x]
-        yield s, labs, lows[y if y < 2 else 2], fmt(nums[x], den), ups[y.bit_length()]
+    den = star.den
+    for (s, labs), lower, num, upper in zip(_subsets(labels), bd.lower, star.numerators, bd.upper):
+        yield s, labs, lower, fmt(num, den), upper
 
 
 #: Between two label items of a JSON row, as json.dump(..., indent=2) puts them.
@@ -354,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="render the interval chart as SVG")
     _add_input_args(p)
     p.add_argument("--out", required=True, help="output SVG path")
-    p.add_argument("--width", type=int, default=640)
-    p.add_argument("--height", type=int, default=480)
+    p.add_argument("--width", type=int, default=_figure.FigureSpec.width_px)
+    p.add_argument("--height", type=int, default=_figure.FigureSpec.height_px)
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("phenomenon", help="complement events outside a kept set")

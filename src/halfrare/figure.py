@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import BoundaryDistributions, boundary_distributions
+from .bounds import boundary_distributions
 from .core import MarginalSet, indicator_string
 from .errors import EventologyError, TooLarge
 from .transforms import independent_epd
@@ -50,7 +50,7 @@ def render_figure(m: MarginalSet, spec: FigureSpec = FigureSpec()) -> str:
     """Fréchet-interval chart for a marginal set as an SVG 1.1 document."""
     if m.n > MAX_FIGURE_EVENTS:
         raise TooLarge(f"N={m.n} exceeds the figure cap {MAX_FIGURE_EVENTS}")
-    bd: BoundaryDistributions = boundary_distributions(m)
+    bd = boundary_distributions(m, spec.y)
     star = independent_epd(m)
     n = m.n
     ncells = 1 << n
@@ -82,7 +82,7 @@ def render_figure(m: MarginalSet, spec: FigureSpec = FigureSpec()) -> str:
     for x in range(ncells):
         cx = MARGIN_LEFT + slot * (x + 0.5)
         left = cx - bar / 2
-        y_up, y_star, y_lo = spec.y(bd.upper[x]), spec.y(star[x]), spec.y(bd.lower[x])
+        y_up, y_star, y_lo = bd.upper[x], spec.y(star[x]), bd.lower[x]
         parts.append(
             f'<rect class="blue" x="{left:.2f}" y="{y_up:.2f}" '
             f'width="{bar:.2f}" height="{y_star - y_up:.2f}"/>'

@@ -143,13 +143,19 @@ class TestBoundaryDistributions:
         assert bd.upper == tuple(upper_bound_general(x, m) for x in range(4))
 
     @given(tied_marginal_sets())
-    def test_dense_views_read_the_levels(self, m):
-        bd = boundary_distributions(m)
-        assert len(bd.table) == 1 << m.n and sorted(bd.table) == list(range(1 << m.n))
-        assert len(bd.lows) == 3 and len(bd.ups) == m.n + 1
-        for x, y in enumerate(bd.table):
-            assert bd.lower[x] == bd.lows[min(y, 2)]
-            assert bd.upper[x] == bd.ups[y.bit_length()]
+    def test_level_maps_each_distinct_bound_once(self, m):
+        calls = []
+
+        def level(q):
+            calls.append(q)
+            return ("level", q)
+
+        bd = boundary_distributions(m, level)
+        assert len(calls) == m.n + 4
+        plain = boundary_distributions(m)
+        assert bd.lower == tuple(map(level, plain.lower))
+        assert bd.upper == tuple(map(level, plain.upper))
+        assert len({id(c) for c in bd.lower + bd.upper}) <= m.n + 4
 
     @given(marginal_sets())
     def test_sandwich_and_sum_envelope(self, m):

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import halfrare
-from halfrare import cli, independent_value, lower_bound_general, upper_bound_general
+from halfrare import cli, independent_value, lower_bound_general, oracle, upper_bound_general
 from halfrare.cli import main
 from halfrare.core import format_decimal
 
@@ -135,7 +136,7 @@ class TestBoundsCommand:
         code, out, _ = run(capsys, "bounds", "-p", probs, "--format", "csv", *extra)
         assert code == 0 and len(out.splitlines()) == 1 + 2**10
         # One star cell per row, plus 3 lower and N+1 upper levels.
-        assert len(calls) <= 2**10 + 10 + 4
+        assert len(calls) == 2**10 + 10 + 4
 
 
 class TestVerifyCommand:
@@ -162,6 +163,22 @@ class TestVerifyCommand:
     def test_too_large_exit_3(self, capsys):
         code, _, _ = run(capsys, "verify", "-p", "0.1,0.1,0.1,0.1,0.1,0.1,0.1")
         assert code == 3
+
+    def test_sharpness_mismatch_exit_4(self, capsys, monkeypatch):
+        real = oracle.boundary_distributions
+
+        def one_wrong_upper_cell(m):
+            bd = real(m)
+            return dataclasses.replace(bd, upper=(*bd.upper[:-1], bd.upper[-1] + F(1, 7)))
+
+        monkeypatch.setattr(oracle, "boundary_distributions", one_wrong_upper_cell)
+        code, out, err = run(capsys, "verify", "-p", "0.45,0.40")
+        assert code == 4
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: sharpness mismatch at subset 11")
+        reports = json.loads(out)
+        assert len(reports) == 1 and len(reports[0]["subsets"]) == 4
+        assert reports[0]["verdict"] == "fail"
 
 
 class TestFigureCommand:
