@@ -15,17 +15,16 @@ any marginal set to that case, so the dense table is always computed there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .core import (
     ONE,
     ZERO,
-    EventSet,
     HalfRareMarginalSet,
     MarginalSet,
     TerraceDistribution,
+    Value,
     check_subset,
     make_event_set,
 )
@@ -33,24 +32,19 @@ from .errors import MarginalMismatch
 from .transforms import half_rare_map, independent_epd
 
 
-@dataclass(frozen=True)
-class BoundaryDistributions:
+class BoundaryDistributions(Value):
     """Lower and upper Fréchet bounds over the full power set, one cell per
     subset in ascending bitmask order.  A cell is the bound itself or, from
     `boundary_distributions(m, level)`, `level` of it; either way the two
     columns hold at most N+4 distinct objects."""
 
-    events: EventSet
-    lower: tuple
-    upper: tuple
+    __slots__ = ("events", "lower", "upper")
 
 
-@dataclass(frozen=True)
-class CovarianceBounds:
+class CovarianceBounds(Value):
     """Per-subset covariance intervals [kov_lower, kov_upper] for a doublet."""
 
-    events: EventSet
-    intervals: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ("events", "intervals")
 
 
 def lower_bound_general(x: int, m: MarginalSet) -> Fraction:

@@ -178,10 +178,11 @@ def _emit_rows(m: MarginalSet, args: argparse.Namespace, out) -> None:
     else:
         # The full set's label string is the longest one.
         width = max(12, len("+".join(m.events.labels)) + 2)
-        out.write(f"{'subset':<{m.n + 2}} {'labels':<{width}} {'lower':>12} {'star':>12} {'upper':>12}\n")
+        s_width = m.n + 2
+        out.write(f"{'subset':<{s_width}} {'labels':<{width}} {'lower':>12} {'star':>12} {'upper':>12}\n")
         for s, labs, lower, star, upper in _bound_rows(m, fmt, m.events.labels):
             out.write(
-                f"{s:<{m.n + 2}} {'+'.join(labs):<{width}} {lower:>12} {star:>12} {upper:>12}\n"
+                f"{s:<{s_width}} {'+'.join(labs):<{width}} {lower:>12} {star:>12} {upper:>12}\n"
             )
 
 
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p).add_argument(
         "--random", type=positive_int, metavar="K",
         help="verify K randomly drawn marginal sets instead of one input")
-    p.add_argument("--n", type=int, help="event count for --random, default 3")
+    p.add_argument("--n", type=positive_int, help="event count for --random, default 3")
     p.add_argument("--half-rare", action="store_true", help="draw half-rare marginals for --random")
     p.add_argument("--seed", type=int, help="first seed for --random, default 0")
     p.set_defaults(func=cmd_verify)
@@ -350,8 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="render the interval chart as SVG")
     _add_input_args(p)
     p.add_argument("--out", required=True, help="output SVG path")
-    p.add_argument("--width", type=int, default=_figure.FigureSpec.width_px)
-    p.add_argument("--height", type=int, default=_figure.FigureSpec.height_px)
+    default = _figure.FigureSpec()
+    p.add_argument("--width", type=int, default=default.width_px)
+    p.add_argument("--height", type=int, default=default.height_px)
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("phenomenon", help="complement events outside a kept set")

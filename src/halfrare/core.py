@@ -8,6 +8,8 @@ probability in [0, 1] per event, and a `TerraceDistribution` 2^N nonnegative
 integer numerators summing to its one denominator.  `make_event_set`,
 `default_event_set` and `validate_marginals` only coerce their arguments to
 tuples and `Fraction`s; `default_event_set` runs the size guard on n first.
+The value types of the package are immutable `__slots__` classes on `Value`,
+equal when their class and fields are.
 
 Probabilities are carried as `fractions.Fraction` everywhere; decimals are a
 rendering concern only.  Subsets of an N-event set are plain ints in
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Sequence
@@ -52,17 +53,62 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
+class Value:
+    """Base of the immutable value types.  A subclass names its fields in
+    `__slots__`, after those of its bases; they are set once, by position or
+    keyword, and then checked by `__post_init__`, also when a value is
+    unpickled or copied.  Values are equal, and hash alike, when their class
+    and field tuples are; the repr is the one a dataclass prints."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+
+    def __init__(self, *args, **kwargs) -> None:
+        values = {**dict(zip(self._fields, args)), **kwargs}
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
+        for name in self._fields:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
 def check_event_count(n: int) -> None:
     """The dense size guard: N events fit the 2^N tables only for N <= MAX_EVENTS."""
     if n > MAX_EVENTS:
         raise TooLarge(f"N={n} exceeds the dense cap {MAX_EVENTS}")
 
 
-@dataclass(frozen=True)
-class EventSet:
+class EventSet(Value):
     """An ordered set of 1 to MAX_EVENTS distinctly labeled events."""
 
-    labels: tuple[str, ...]
+    __slots__ = ("labels",)
 
     def __post_init__(self) -> None:
         if not self.labels:
@@ -126,12 +172,10 @@ def parse_probability(text: str) -> Fraction:
         raise ValueError(f"{text[:24]!r} is not a decimal or a fraction a/b, b > 0") from None
 
 
-@dataclass(frozen=True)
-class MarginalSet:
+class MarginalSet(Value):
     """Per-event probabilities for an ordered event set, each in [0, 1]."""
 
-    events: EventSet
-    probs: tuple[Fraction, ...]
+    __slots__ = ("events", "probs")
 
     def __post_init__(self) -> None:
         if len(self.probs) != self.events.n:
@@ -160,12 +204,13 @@ def marginals_from_values(values: Sequence) -> MarginalSet:
     return validate_marginals(default_event_set(len(probs)), probs)
 
 
-@dataclass(frozen=True)
 class HalfRareMarginalSet(MarginalSet):
     """A MarginalSet with 1/2 >= p_1 >= p_2 >= ... >= p_N.
 
     The most probable event is always the first one by construction.
     """
+
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -177,16 +222,13 @@ class HalfRareMarginalSet(MarginalSet):
         return self.probs[0]
 
 
-@dataclass(frozen=True)
-class TerraceDistribution:
+class TerraceDistribution(Value):
     """A joint distribution of the events: the probability that exactly the
     events in X occur is `numerators[X] / den`, for every subset X.  The
     numerators are nonnegative ints summing to `den`, so every atom lies in
     [0, 1] and the atoms sum to 1 exactly."""
 
-    events: EventSet
-    numerators: tuple[int, ...]
-    den: int
+    __slots__ = ("events", "numerators", "den")
 
     def __post_init__(self) -> None:
         if len(self.numerators) != 1 << self.events.n:

@@ -8,11 +8,10 @@ starts.  Dashed horizontal gridlines mark the unit interval in quarters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import boundary_distributions
-from .core import MarginalSet, indicator_string
+from .core import MarginalSet, Value, indicator_string
 from .errors import EventologyError, TooLarge
 from .transforms import independent_epd
 
@@ -23,10 +22,11 @@ MAX_FIGURE_EVENTS = 8
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 42, 12, 12, 32
 
 
-@dataclass(frozen=True)
-class FigureSpec:
-    width_px: int = 640
-    height_px: int = 480
+class FigureSpec(Value):
+    __slots__ = ("width_px", "height_px")
+
+    def __init__(self, width_px: int = 640, height_px: int = 480) -> None:
+        super().__init__(width_px, height_px)
 
     def __post_init__(self) -> None:
         if self.plot_width <= 0 or self.plot_height <= 0:

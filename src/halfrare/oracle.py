@@ -16,7 +16,6 @@ one place the LP cap MAX_LP_EVENTS is checked.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -27,6 +26,7 @@ from .core import (
     ZERO,
     MarginalSet,
     TerraceDistribution,
+    Value,
     check_subset,
     default_event_set,
     validate_marginals,
@@ -37,25 +37,17 @@ from .errors import Infeasible, TooLarge
 MAX_LP_EVENTS = 6
 
 
-@dataclass(frozen=True)
-class SubsetRecord:
-    subset: int
-    closed_form_lower: Fraction
-    lp_min: Fraction
-    closed_form_upper: Fraction
-    lp_max: Fraction
-    witness_min: TerraceDistribution
-    witness_max: TerraceDistribution
+class SubsetRecord(Value):
+    __slots__ = ("subset", "closed_form_lower", "lp_min", "closed_form_upper", "lp_max",
+                 "witness_min", "witness_max")
 
     @property
     def matches(self) -> bool:
         return self.closed_form_lower == self.lp_min and self.closed_form_upper == self.lp_max
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    marginals: MarginalSet
-    records: tuple[SubsetRecord, ...]
+class VerificationReport(Value):
+    __slots__ = ("marginals", "records")
 
     @property
     def verdict(self) -> bool:

@@ -10,7 +10,6 @@ in the half-rare regime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,14 +19,14 @@ from .core import (
     HalfRareMarginalSet,
     MarginalSet,
     TerraceDistribution,
+    Value,
     make_event_set,
     validate_marginals,
 )
 from .errors import LengthMismatch
 
 
-@dataclass(frozen=True)
-class PhenomenonMap:
+class PhenomenonMap(Value):
     """Data of a set-phenomenon transform.
 
     `kept` is the bitmask M of events left alone; all others are complemented.
@@ -35,9 +34,7 @@ class PhenomenonMap:
     `order == (0, 1, ..., N-1)` is the identity relabeling.
     """
 
-    n: int
-    kept: int
-    order: tuple[int, ...]
+    __slots__ = ("n", "kept", "order")
 
     @property
     def complemented(self) -> int:

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -18,7 +17,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import halfrare
-from halfrare import cli, independent_value, lower_bound_general, oracle, upper_bound_general
+from halfrare import (
+    BoundaryDistributions,
+    cli,
+    independent_value,
+    lower_bound_general,
+    oracle,
+    upper_bound_general,
+)
 from halfrare.cli import main
 from halfrare.core import format_decimal
 
@@ -169,7 +175,8 @@ class TestVerifyCommand:
 
         def one_wrong_upper_cell(m):
             bd = real(m)
-            return dataclasses.replace(bd, upper=(*bd.upper[:-1], bd.upper[-1] + F(1, 7)))
+            upper = (*bd.upper[:-1], bd.upper[-1] + F(1, 7))
+            return BoundaryDistributions(bd.events, bd.lower, upper)
 
         monkeypatch.setattr(oracle, "boundary_distributions", one_wrong_upper_cell)
         code, out, err = run(capsys, "verify", "-p", "0.45,0.40")
@@ -265,6 +272,8 @@ class TestPhenomenonCommand:
         (["phenomenon", "-p", "0.45,0.40", "--kept", "x1", "--digits", "-1"], None, 2),
         (["verify", "--random", "-2"], None, 2),
         (["verify", "--random", "0"], None, 2),
+        (["verify", "--random", "1", "--n", "0"], None, 2),
+        (["verify", "--random", "1", "--n", "-3"], None, 2),
         (["figure", "-p", "0.45,0.40", "--width", "0"], None, 3),
         (["figure", "-p", "0.45,0.40", "--height", "44"], None, 3),
         (["bounds", "-i", "DOC"], {"events": [1, 2], "probabilities": ["0.45", "0.4"]}, 2),
@@ -303,6 +312,8 @@ class TestPhenomenonCommand:
         "phenomenon-digits-negative",
         "verify-random-negative",
         "verify-random-zero",
+        "verify-n-zero",
+        "verify-n-negative",
         "figure-width-zero",
         "figure-no-plot-height",
         "events-not-strings",
@@ -363,6 +374,8 @@ def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):
         assert elapsed < 1.0  # rejected from the text, before 10^2000000 is built
     if argv[:2] == ["verify", "--random"]:
         assert "--random" in proc.stderr
+        if "--n" in argv:
+            assert "argument --n: must be >= 1" in proc.stderr
 
 
 def test_huge_random_n_exits_3():
@@ -379,6 +392,18 @@ def test_huge_random_n_exits_3():
     )
     assert proc.returncode == 3
     assert proc.stderr == "error: N=1000000000000 exceeds the dense cap 20\n"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # Together they cost about 20 ms of every CLI run's start-up.  -S keeps
+    # whatever the site packages import out of the count.
+    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, halfrare.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_closed_pipe_exits_5():
