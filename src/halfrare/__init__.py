@@ -11,7 +11,6 @@ from .bounds import (
     lower_bound_general,
     lower_bound_half_rare,
     upper_bound_general,
-    upper_bound_half_rare,
 )
 from .core import (
     EventSet,
@@ -32,9 +31,7 @@ from .oracle import (
 from .transforms import (
     PhenomenonMap,
     apply_phenomenon,
-    half_rare_projection,
     independent_epd,
-    independent_value,
 )
 
 __version__ = "0.1.0"
@@ -53,9 +50,7 @@ __all__ = [
     "covariance_bounds_doublet",
     "covariance_first_kind",
     "doublet_bounds",
-    "half_rare_projection",
     "independent_epd",
-    "independent_value",
     "indicator_string",
     "lower_bound_general",
     "lower_bound_half_rare",
@@ -64,7 +59,6 @@ __all__ = [
     "marginals_from_values",
     "random_marginals",
     "upper_bound_general",
-    "upper_bound_half_rare",
     "validate_marginals",
     "verify_bounds",
 ]

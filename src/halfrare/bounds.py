@@ -16,7 +16,7 @@ any marginal set to that case, so the dense table is always computed there.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .core import (
     ONE,
@@ -66,20 +66,17 @@ def upper_bound_general(x: int, m: MarginalSet) -> Fraction:
     return best
 
 
-def upper_bound_half_rare(x: int, h: HalfRareMarginalSet) -> Fraction:
-    check_subset(x, h.n)
-    if x == 0:
-        return ONE - h.p_max
-    return min(h.probs[i] for i in range(h.n) if (x >> i) & 1)
+def _half_rare_levels(p: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The half-rare closed forms for probabilities `p` in half-rare order:
+    the 3 lower values (at y = 0, at y = 1 and 0 elsewhere) and the N+1 upper
+    values (1 - p_1 at y = 0, else p at y's highest bit)."""
+    rest = sum(p) - p[0]
+    return (max(ZERO, ONE - p[0] - rest), max(ZERO, p[0] - rest), ZERO), (ONE - p[0], *p)
 
 
 def lower_bound_half_rare(x: int, h: HalfRareMarginalSet) -> Fraction:
     check_subset(x, h.n)
-    if x == 0:
-        return max(ZERO, ONE - sum(h.probs))
-    if x == 1:  # singleton of the most probable event
-        return max(ZERO, h.p_max - (sum(h.probs) - h.p_max))
-    return ZERO
+    return _half_rare_levels(h.probs)[0][min(x, 2)]
 
 
 def boundary_distributions(
@@ -89,15 +86,12 @@ def boundary_distributions(
     the marginals to the half-rare case and read its closed forms at each
     subset's image y under the one renumbering.  Labels play no part.
 
-    The lower bound takes 3 values (at y = 0, at y = 1 and 0 elsewhere) and
-    the upper bound N+1 (1 - p_1 at y = 0, else p at y's highest bit), so
-    `level` is applied to each of those N+4 values once and every cell holds
-    one of the results."""
+    The closed forms take N+4 values, so `level` is applied to each of them
+    once and every cell holds one of the results."""
     pm = half_rare_map(m.probs)
-    p = pm.map_probs(m.probs)
-    rest = sum(p) - p[0]
-    lows = [level(q) for q in (max(ZERO, ONE - p[0] - rest), max(ZERO, p[0] - rest), ZERO)]
-    ups = [level(q) for q in (ONE - p[0], *p)]
+    lows, ups = _half_rare_levels(pm.map_probs(m.probs))
+    lows = [level(q) for q in lows]
+    ups = [level(q) for q in ups]
     table = pm.subset_table()
     return BoundaryDistributions(
         m.events,
@@ -111,13 +105,8 @@ def _doublet_marginals(p_x: Fraction, p_y: Fraction) -> HalfRareMarginalSet:
 
 
 def doublet_bounds(p_x: Fraction, p_y: Fraction) -> BoundaryDistributions:
-    """Closed-form bounds for a half-rare pair, in subset order
-    (empty, {x}, {y}, {x,y})."""
-    m = _doublet_marginals(p_x, p_y)
-    p_x, p_y = m.probs
-    return BoundaryDistributions(
-        m.events, (ONE - p_x - p_y, p_x - p_y, ZERO, ZERO), (ONE - p_x, p_x, p_y, p_y)
-    )
+    """Bounds for a half-rare pair, in subset order (empty, {x}, {y}, {x,y})."""
+    return boundary_distributions(_doublet_marginals(p_x, p_y))
 
 
 def covariance_first_kind(d: TerraceDistribution, m: MarginalSet) -> tuple[Fraction, ...]:

@@ -224,10 +224,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.random:
         n = 3 if args.n is None else args.n
         seed = 0 if args.seed is None else args.seed
-        instances = [
+        # Drawn one at a time, so an N over the LP cap fails at the first set.
+        instances = (
             _oracle.random_marginals(n, seed + k, half_rare=args.half_rare)
             for k in range(args.random)
-        ]
+        )
     elif args.n is not None or args.half_rare or args.seed is not None:
         raise CliError(EXIT_PARSE, "--n, --half-rare and --seed need --random K with K >= 1")
     else:

@@ -217,10 +217,6 @@ class HalfRareMarginalSet(MarginalSet):
         if not self.is_half_rare():
             raise NotHalfRare(f"probabilities violate the half-rare order: {self.probs}")
 
-    @property
-    def p_max(self) -> Fraction:
-        return self.probs[0]
-
 
 class TerraceDistribution(Value):
     """A joint distribution of the events: the probability that exactly the

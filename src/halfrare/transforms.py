@@ -16,7 +16,6 @@ from typing import Sequence
 from .core import (
     HALF,
     ONE,
-    HalfRareMarginalSet,
     MarginalSet,
     TerraceDistribution,
     Value,
@@ -70,14 +69,6 @@ def identity_phenomenon(n: int, kept: int | None = None) -> PhenomenonMap:
     return PhenomenonMap(n, full if kept is None else kept, tuple(range(n)))
 
 
-def independent_value(x: int, m: MarginalSet) -> Fraction:
-    """Terrace probability at X under independence (single subset, no table)."""
-    v = ONE
-    for i, p in enumerate(m.probs):
-        v *= p if (x >> i) & 1 else ONE - p
-    return v
-
-
 def independent_epd(m: MarginalSet) -> TerraceDistribution:
     """Dense terrace distribution of the independent projection, over the one
     denominator D = prod den(p_x) that every cell shares."""
@@ -96,13 +87,6 @@ def half_rare_map(probs: Sequence[Fraction]) -> PhenomenonMap:
     kept = sum(1 << i for i, p in enumerate(probs) if p <= HALF)
     order = tuple(sorted(range(len(probs)), key=lambda i: -min(probs[i], ONE - probs[i])))
     return PhenomenonMap(len(probs), kept, order)
-
-
-def half_rare_projection(m: MarginalSet) -> tuple[HalfRareMarginalSet, PhenomenonMap]:
-    """The half-rare marginal set reached by `half_rare_map`, with its map."""
-    pm = half_rare_map(m.probs)
-    t = pm.map_marginals(m)
-    return HalfRareMarginalSet(t.events, t.probs), pm
 
 
 def apply_phenomenon(values: Sequence[Fraction], pm: PhenomenonMap) -> tuple[Fraction, ...]:

@@ -11,6 +11,16 @@ settings.load_profile("exact")
 from halfrare import marginals_from_values
 from halfrare.core import HALF, ONE, ZERO, HalfRareMarginalSet, default_event_set
 
+
+def independent_value(x, m):
+    """Terrace probability at X under independence, one product per subset:
+    the reference for the table of `independent_epd`."""
+    v = ONE
+    for i, p in enumerate(m.probs):
+        v *= p if (x >> i) & 1 else ONE - p
+    return v
+
+
 unit_fraction = st.fractions(min_value=0, max_value=1, max_denominator=32)
 
 

@@ -12,12 +12,10 @@ from halfrare import (
     covariance_first_kind,
     doublet_bounds,
     independent_epd,
-    independent_value,
     lower_bound_general,
     lower_bound_half_rare,
     marginals_from_values,
     upper_bound_general,
-    upper_bound_half_rare,
 )
 from halfrare.core import (
     TerraceDistribution,
@@ -27,7 +25,13 @@ from halfrare.core import (
 )
 from halfrare.errors import IndexOutOfRange, MarginalMismatch, NotHalfRare
 
-from conftest import half_rare_sets, marginal_sets, tied_marginal_sets, unit_fraction
+from conftest import (
+    half_rare_sets,
+    independent_value,
+    marginal_sets,
+    tied_marginal_sets,
+    unit_fraction,
+)
 
 F = Fraction
 
@@ -68,11 +72,11 @@ class TestGeneralFormulas:
 class TestHalfRareFormulas:
     def test_upper_empty_set(self):
         h = HalfRareMarginalSet(FIG_PENTAPLET.events, FIG_PENTAPLET.probs)
-        assert upper_bound_half_rare(0, h) == F(11, 20)
+        assert boundary_distributions(h).upper[0] == F(11, 20)
 
     def test_upper_min_over_members(self):
         h = HalfRareMarginalSet(FIG_PENTAPLET.events, FIG_PENTAPLET.probs)
-        assert upper_bound_half_rare(0b10100, h) == F(1, 4)  # {x3, x5}
+        assert boundary_distributions(h).upper[0b10100] == F(1, 4)  # {x3, x5}
 
     def test_lower_examples(self):
         h = HalfRareMarginalSet(FIG_DOUBLET.events, FIG_DOUBLET.probs)
@@ -83,9 +87,10 @@ class TestHalfRareFormulas:
 
     @given(half_rare_sets())
     def test_agreement_with_general(self, h):
+        upper = boundary_distributions(h).upper
         for x in range(1 << h.n):
             assert lower_bound_half_rare(x, h) == lower_bound_general(x, h)
-            assert upper_bound_half_rare(x, h) == upper_bound_general(x, h)
+            assert upper[x] == upper_bound_general(x, h)
 
     @given(half_rare_sets(min_n=2))
     def test_zero_pattern(self, h):
@@ -100,7 +105,7 @@ class TestHalfRareFormulas:
         # yields a value <= 0, so the first-event convention cannot change output.
         total = sum(h.probs)
         for i, p in enumerate(h.probs):
-            if p == h.p_max and i > 0:
+            if p == h.probs[0] and i > 0:
                 assert p - (total - p) <= 0
 
 

@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import csv
+import importlib
 import io
 import json
 import os
@@ -20,7 +22,6 @@ import halfrare
 from halfrare import (
     BoundaryDistributions,
     cli,
-    independent_value,
     lower_bound_general,
     oracle,
     upper_bound_general,
@@ -28,7 +29,7 @@ from halfrare import (
 from halfrare.cli import main
 from halfrare.core import format_decimal
 
-from conftest import tied_marginal_sets
+from conftest import independent_value, tied_marginal_sets
 
 F = Fraction
 
@@ -169,6 +170,23 @@ class TestVerifyCommand:
     def test_too_large_exit_3(self, capsys):
         code, _, _ = run(capsys, "verify", "-p", "0.1,0.1,0.1,0.1,0.1,0.1,0.1")
         assert code == 3
+
+    def test_random_over_lp_cap_exits_before_drawing_the_rest(self, capsys, monkeypatch):
+        draws = []
+        real = oracle.random_marginals
+
+        def counting(*args, **kwargs):
+            # Stops a second draw at once, so an eager loop fails here
+            # instead of drawing all K sets.
+            draws.append(args)
+            assert len(draws) == 1, "a second set was drawn before the LP cap was checked"
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "random_marginals", counting)
+        code, out, err = run(capsys, "verify", "--random", "1000000000", "--n", "7")
+        assert (code, out) == (3, "")
+        assert "exceeds the LP cap 6" in err
+        assert len(draws) == 1
 
     def test_sharpness_mismatch_exit_4(self, capsys, monkeypatch):
         real = oracle.boundary_distributions
@@ -404,6 +422,21 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
         capture_output=True, text=True, env=env,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_perfbench_span_targets_resolve():
+    # The benchmark's traced runs wrap each (module, attribute) of
+    # perfbench/spans.py TARGETS; one that no longer resolves stops them.
+    # The file is parsed, not imported, so nothing is written next to it.
+    source = (Path(__file__).parents[1] / "perfbench" / "spans.py").read_text()
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    )
+    assert targets
+    for module, attr, _layer in targets:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
 
 
 def test_closed_pipe_exits_5():

@@ -103,7 +103,7 @@ class TestMarginals:
     def test_half_rare_is_a_marginal_set(self):
         assert issubclass(HalfRareMarginalSet, MarginalSet)
         h = HalfRareMarginalSet(default_event_set(2), (Fraction(9, 20), Fraction(2, 5)))
-        assert h.n == 2 and h.p_max == Fraction(9, 20)
+        assert h.n == 2 and h.probs[0] == Fraction(9, 20)
 
     def test_half_rare_checks_range_before_order(self):
         es = make_event_set(["x"])

@@ -4,17 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from halfrare import (
-    apply_phenomenon,
-    half_rare_projection,
-    independent_epd,
-    independent_value,
-    marginals_from_values,
-)
+from halfrare import apply_phenomenon, independent_epd, marginals_from_values
 from halfrare.errors import LengthMismatch
-from halfrare.transforms import PhenomenonMap, identity_phenomenon
+from halfrare.transforms import PhenomenonMap, half_rare_map, identity_phenomenon
 
-from conftest import marginal_sets, unit_fraction
+from conftest import independent_value, marginal_sets, unit_fraction
 
 F = Fraction
 
@@ -56,7 +50,9 @@ class TestIndependentEpd:
 
 class TestHalfRareProjection:
     def test_complements_likely_event(self):
-        h, pm = half_rare_projection(marginals_from_values(["0.7", "0.4"]))
+        m = marginals_from_values(["0.7", "0.4"])
+        pm = half_rare_map(m.probs)
+        h = pm.map_marginals(m)
         assert h.probs == (F(2, 5), F(3, 10))
         assert h.events.labels == ("x2", "x1^c")
         assert pm.kept == 0b10
@@ -64,7 +60,8 @@ class TestHalfRareProjection:
 
     def test_identity_when_already_half_rare(self):
         m = marginals_from_values(["0.45", "0.40"])
-        h, pm = half_rare_projection(m)
+        pm = half_rare_map(m.probs)
+        h = pm.map_marginals(m)
         assert h.probs == m.probs
         assert pm == identity_phenomenon(2)
 
@@ -77,19 +74,21 @@ class TestHalfRareProjection:
 
     def test_half_is_kept(self):
         m = marginals_from_values([F(1, 2), F(1, 2)])
-        h, pm = half_rare_projection(m)
+        pm = half_rare_map(m.probs)
+        h = pm.map_marginals(m)
         assert h.probs == m.probs
         assert pm == identity_phenomenon(2)
 
     @given(marginal_sets())
     def test_output_is_half_rare(self, m):
-        h, _ = half_rare_projection(m)
+        h = half_rare_map(m.probs).map_marginals(m)
         assert h.is_half_rare()
 
     @given(marginal_sets())
     def test_idempotence(self, m):
-        h, _ = half_rare_projection(m)
-        h2, pm2 = half_rare_projection(h)
+        h = half_rare_map(m.probs).map_marginals(m)
+        pm2 = half_rare_map(h.probs)
+        h2 = pm2.map_marginals(h)
         assert h2.probs == h.probs
         assert pm2 == identity_phenomenon(h.n)
 
@@ -139,7 +138,7 @@ class TestApplyPhenomenon:
 
     @given(marginal_sets())
     def test_commutes_with_independence(self, m):
-        h, pm = half_rare_projection(m)
-        direct = independent_epd(h).atoms
+        pm = half_rare_map(m.probs)
+        direct = independent_epd(pm.map_marginals(m)).atoms
         transported = apply_phenomenon(independent_epd(m).atoms, pm)
         assert direct == transported
