@@ -2,10 +2,11 @@
 transforms and SVG interval charts.
 
 Exit codes: 0 ok, 2 parse error, 3 validation error, 4 verification failure,
-5 I/O error.  A reader that closes standard output early (`halfrare bounds ...
-| head -2`) also ends the run with exit 5, silently: `main` points stdout at
-devnull, as the "Note on SIGPIPE" in the Python `signal` docs advises, so the
-interpreter's last flush does not fail again.
+5 I/O error.  Any error writing standard output ends the run with exit 5 and
+one `error:` line; a reader that closes it early (`halfrare bounds ... | head
+-2`) does so silently.  `main` then points stdout at devnull, as the "Note on
+SIGPIPE" in the Python `signal` docs advises, so the interpreter's last flush
+does not fail again.
 
 Bound tables are written one row at a time in every format.  Only the star
 column is formatted per row, from the integer numerators of `independent_epd`
@@ -145,6 +146,12 @@ def _bound_rows(m: MarginalSet, fmt: Callable[[int, int], str], labels: Sequence
         yield s, labs, lower, fmt(num, den), upper
 
 
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer quotes it by default: in quotes, with each quote
+    doubled, if it holds a comma or a quote.  A label never holds CR or LF."""
+    return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
+
+
 #: Between two label items of a JSON row, as json.dump(..., indent=2) puts them.
 _JSON_ITEM_SEP = ",\n        "
 
@@ -167,12 +174,9 @@ def _emit_rows(m: MarginalSet, args: argparse.Namespace, out) -> None:
             sep = ",\n"
         out.write("\n  ]\n}\n")
     elif args.format == "csv":
-        import csv
-
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("subset", "labels", "lower", "star", "upper"))
-        writer.writerows(
-            (s, "+".join(labs), lower, star, upper)
+        out.write("subset,labels,lower,star,upper\n")
+        out.writelines(
+            f"{s},{_csv_field('+'.join(labs))},{lower},{star},{upper}\n"
             for s, labs, lower, star, upper in _bound_rows(m, fmt, m.events.labels)
         )
     else:
@@ -373,11 +377,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # The reader is gone; keep the interpreter's final flush from raising.
+    except OSError as e:
+        # Only writing stdout raises here: the commands turn every other I/O
+        # error into a CliError.  Keep the interpreter's final flush from
+        # raising again.  A closed pipe means the reader is gone: no message.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(e, BrokenPipeError):
+            print(f"error: cannot write standard output: {e}", file=sys.stderr)
         return EXIT_IO
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -453,6 +453,28 @@ def test_closed_pipe_exits_5():
         assert proc.stderr.read() == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds", "-p", "0.45,0.40"],
+     ["bounds", "-p", "0.45,0.40", "--format", "csv"],
+     ["bounds", "-p", ",".join(["0.3"] * 12), "--format", "csv"],
+     ["verify", "-p", "0.45,0.40"]],
+    ids=["table", "csv", "csv-past-buffer", "verify"],
+)
+def test_stdout_write_error_exits_5(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "halfrare", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    assert proc.returncode == 5
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot write standard output: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "labels",
     [["a"], ['q"uote', "back\\slash"], ["é", "日本", "\U0001f600"], ["", "b", "c,d"],
@@ -472,6 +494,30 @@ def test_json_stream_matches_json_dump(capsys, tmp_path, labels):
         assert out == buf.getvalue() + "\n"
         assert [r["labels"] for r in parsed["rows"]] == [
             [lab for i, lab in enumerate(labels) if (x >> i) & 1] for x in range(1 << len(labels))
+        ]
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [["a,b", 'q"', '"'], [",", '""', ""], [" lead", "trail ", " both ", "+"],
+     ["é", "日本", "\U0001f600"], ["a,b", '"', "", " s ", "+", "日本"]],
+    ids=["comma-quote", "bare-comma-quotes-empty", "spaces-plus", "non-ascii", "mixed"],
+)
+def test_csv_stream_matches_csv_writer(capsys, tmp_path, labels):
+    doc = {"events": labels, "probabilities": (["0.45", "2/5", "0.7"] * 2)[: len(labels)]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    for extra in ([], ["--exact"]):
+        code, out, _ = run(capsys, "bounds", "-i", str(path), "--format", "csv", *extra)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        assert out == buf.getvalue()
+        assert all(len(row) == 5 for row in rows)
+        assert [row[1] for row in rows[1:]] == [
+            "+".join(lab for i, lab in enumerate(labels) if (x >> i) & 1)
+            for x in range(1 << len(labels))
         ]
 
 
@@ -629,3 +675,6 @@ def test_fuzz_exit_codes(invocation):
         rows = list(csv.reader(io.StringIO(text, newline="")))
         assert len(rows) == 1 + 2 ** int(len(rows[1][0]))
         assert all(len(row) == 5 for row in rows)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        assert buf.getvalue() == text
