@@ -8,8 +8,10 @@ one `error:` line; a reader that closes it early (`halfrare bounds ... | head
 SIGPIPE" in the Python `signal` docs advises, so the interpreter's last flush
 does not fail again.
 
-Bound tables are written one row at a time in every format.  Only the star
-column is formatted per row, from the integer numerators of `independent_epd`
+Bound tables are written in every format as one block of 2^(N//2) rows per
+write, built from the label tables of the low N//2 and the high N - N//2
+events, so no 2^N-entry label table exists.  Only the star column is
+formatted per row, from the integer numerators of `independent_epd`
 over their one denominator.  The lower and upper columns take at most N+4
 distinct values, and `boundary_distributions` is handed the cell formatter so
 that it formats each of them once.
@@ -115,35 +117,46 @@ def _fmt(args: argparse.Namespace) -> Callable[[int, int], str]:
     return lambda num, den: format_decimal(num, den, digits)
 
 
-def _half_table(labels: Sequence[str]) -> list[tuple[str, tuple[str, ...]]]:
-    """(indicator string, labels in X) for every subset X of `labels`."""
+def _half_table(labels: Sequence[str], sep: str) -> list[tuple[str, str]]:
+    """(indicator string, labels in X joined by `sep`) for every subset X of
+    `labels`, in ascending bitmask order."""
     return [
         (
             "".join("1" if (x >> i) & 1 else "0" for i in range(len(labels))),
-            tuple(lab for i, lab in enumerate(labels) if (x >> i) & 1),
+            sep.join(lab for i, lab in enumerate(labels) if (x >> i) & 1),
         )
         for x in range(1 << len(labels))
     ]
 
 
-def _subsets(labels: Sequence[str]) -> Iterator[tuple[str, tuple[str, ...]]]:
-    """`_half_table` of all the labels, in ascending bitmask order, built from
-    the tables of the low and the high half: 2 * 2^(N/2) entries, not 2^N."""
-    h = len(labels) // 2
-    low = _half_table(labels[:h])
-    for s_high, labs_high in _half_table(labels[h:]):
-        for s_low, labs_low in low:
-            yield s_low + s_high, labs_low + labs_high
-
-
-def _bound_rows(m: MarginalSet, fmt: Callable[[int, int], str], labels: Sequence[str]):
-    """(indicator, labels, lower, star, upper) for each subset, one at a time;
+def _bound_rows(
+    m: MarginalSet, fmt: Callable[[int, int], str], labels: Sequence[str], sep: str
+) -> Iterator[list[tuple[str, str, str, str, str]]]:
+    """The rows (indicator, labels joined by `sep`, lower, star, upper) of every
+    subset in ascending bitmask order, in blocks: one block of 2^h rows for
+    each subset of the high N - h events, h = N // 2.  Each row is put
+    together from the tables of the two halves, 2 * 2^(N/2) entries, not 2^N.
     `labels` names the events as the writer prints them."""
     bd = _bounds.boundary_distributions(m, lambda q: fmt(q.numerator, q.denominator))
     star = _transforms.independent_epd(m)
-    den = star.den
-    for (s, labs), lower, num, upper in zip(_subsets(labels), bd.lower, star.numerators, bd.upper):
-        yield s, labs, lower, fmt(num, den), upper
+    lower, nums, den, upper = bd.lower, star.numerators, star.den, bd.upper
+    h = len(labels) // 2
+    low = _half_table(labels[:h], sep)
+    size = len(low)
+    for x_high, (s_high, labs_high) in enumerate(_half_table(labels[h:], sep)):
+        cells = slice(x_high * size, (x_high + 1) * size)
+        yield [
+            (
+                s_low + s_high,
+                # Both subsets, not both strings: a label may be "".
+                labs_low + sep + labs_high if x_low and x_high else labs_low + labs_high,
+                lo,
+                fmt(num, den),
+                up,
+            )
+            for (x_low, (s_low, labs_low)), lo, num, up
+            in zip(enumerate(low), lower[cells], nums[cells], upper[cells])
+        ]
 
 
 def _csv_field(text: str) -> str:
@@ -160,34 +173,39 @@ def _emit_rows(m: MarginalSet, args: argparse.Namespace, out) -> None:
     fmt = _fmt(args)
     if args.format == "json":
         # The bytes of json.dump({"N": n, "rows": [...]}, indent=2), written
-        # row by row; labels are escaped once, by the C encoder.
+        # block by block; labels are escaped once, by the C encoder.
         escaped = [json.dumps(lab) for lab in m.events.labels]
         out.write(f'{{\n  "N": {m.n},\n  "rows": [')
         sep = "\n"
-        for s, labs, lower, star, upper in _bound_rows(m, fmt, escaped):
-            items = f"[\n        {_JSON_ITEM_SEP.join(labs)}\n      ]" if labs else "[]"
-            out.write(
-                f'{sep}    {{\n      "subset": "{s}",\n      "labels": {items},\n'
+        for block in _bound_rows(m, fmt, escaped, _JSON_ITEM_SEP):
+            out.write(sep + ",\n".join(
+                f'    {{\n      "subset": "{s}",\n      "labels": {items},\n'
                 f'      "lower": "{lower}",\n      "star": "{star}",\n'
                 f'      "upper": "{upper}"\n    }}'
-            )
+                for s, labs, lower, star, upper in block
+                # An escaped label is never "", so `labs` is empty only for
+                # the empty set.
+                for items in (f"[\n        {labs}\n      ]" if labs else "[]",)
+            ))
             sep = ",\n"
         out.write("\n  ]\n}\n")
     elif args.format == "csv":
         out.write("subset,labels,lower,star,upper\n")
-        out.writelines(
-            f"{s},{_csv_field('+'.join(labs))},{lower},{star},{upper}\n"
-            for s, labs, lower, star, upper in _bound_rows(m, fmt, m.events.labels)
-        )
+        for block in _bound_rows(m, fmt, m.events.labels, "+"):
+            out.write("".join(
+                f"{s},{_csv_field(labs)},{lower},{star},{upper}\n"
+                for s, labs, lower, star, upper in block
+            ))
     else:
         # The full set's label string is the longest one.
         width = max(12, len("+".join(m.events.labels)) + 2)
         s_width = m.n + 2
         out.write(f"{'subset':<{s_width}} {'labels':<{width}} {'lower':>12} {'star':>12} {'upper':>12}\n")
-        for s, labs, lower, star, upper in _bound_rows(m, fmt, m.events.labels):
-            out.write(
-                f"{s:<{s_width}} {'+'.join(labs):<{width}} {lower:>12} {star:>12} {upper:>12}\n"
-            )
+        for block in _bound_rows(m, fmt, m.events.labels, "+"):
+            out.write("".join(
+                f"{s:<{s_width}} {labs:<{width}} {lower:>12} {star:>12} {upper:>12}\n"
+                for s, labs, lower, star, upper in block
+            ))
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -286,8 +304,11 @@ def cmd_phenomenon(args: argparse.Namespace) -> int:
         for lab, p in zip(transformed.events.labels, transformed.probs)
     ) + "\n")
     out.write("subset labels lower star upper\n")
-    for s, labs, lower, star, upper in _bound_rows(transformed, fmt, transformed.events.labels):
-        out.write(f"{s} {'+'.join(labs) or '-'} {lower} {star} {upper}\n")
+    for block in _bound_rows(transformed, fmt, transformed.events.labels, "+"):
+        out.write("".join(
+            f"{s} {labs or '-'} {lower} {star} {upper}\n"
+            for s, labs, lower, star, upper in block
+        ))
     return EXIT_OK
 
 

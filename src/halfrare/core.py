@@ -152,8 +152,9 @@ def parse_probability(text: str) -> Fraction:
 
     The size is checked on the text, before the `Fraction` is built: a decimal
     may have at most MAX_PROBABILITY_DIGITS places (and an exponent of at most
-    that magnitude), a fraction at most that many digits on either side.  Every
-    failure is a ValueError quoting at most the first 24 characters."""
+    that magnitude), a fraction at most that many digits on either side.  Digit
+    separators ("0.4_5") are rejected on every Python.  Every failure is a
+    ValueError quoting at most the first 24 characters."""
     text = text.strip()
     num, slash, den = text.partition("/")
     if slash:
@@ -167,6 +168,9 @@ def parse_probability(text: str) -> Fraction:
     if digits > MAX_PROBABILITY_DIGITS:
         raise ValueError(f"{text[:24]!r} exceeds {MAX_PROBABILITY_DIGITS} digits")
     try:
+        if "_" in text:
+            # Digit separators: Fraction takes them only from Python 3.11 on.
+            raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{text[:24]!r} is not a decimal or a fraction a/b, b > 0") from None
@@ -277,4 +281,6 @@ def format_decimal(num: int, den: int, digits: int = 6) -> str:
         scaled += 1
     sign = "-" if scaled < 0 else ""
     whole, frac = divmod(abs(scaled), scale)
-    return f"{sign}{whole}.{frac:0{digits}d}".rstrip("0").rstrip(".")
+    if not frac:
+        return f"{sign}{whole}"
+    return f"{sign}{whole}.{str(frac).rjust(digits, '0').rstrip('0')}"

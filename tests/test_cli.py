@@ -24,6 +24,7 @@ from halfrare import (
     cli,
     lower_bound_general,
     oracle,
+    transforms,
     upper_bound_general,
 )
 from halfrare.cli import main
@@ -144,6 +145,62 @@ class TestBoundsCommand:
         assert code == 0 and len(out.splitlines()) == 1 + 2**10
         # One star cell per row, plus 3 lower and N+1 upper levels.
         assert len(calls) == 2**10 + 10 + 4
+
+
+_TABLE_ARGVS = [
+    ["bounds", "--format", "table"],
+    ["bounds", "--format", "json"],
+    ["bounds", "--format", "csv", "--exact"],
+    ["phenomenon", "--kept", "x1,x4,x9"],
+]
+
+
+class _CountingStdout(io.StringIO):
+    """Counts `write` calls; the inherited `writelines` makes one per line."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", _TABLE_ARGVS, ids=["table", "json", "csv", "phenomenon"])
+def test_one_write_per_block(argv):
+    # N=10: 2^5 blocks of 2^5 rows, plus the header and footer writes.
+    out = _CountingStdout()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "-p", ",".join(["0.3"] * 10)]) == 0
+    assert len(out.getvalue().splitlines()) > 2**10
+    assert out.writes <= 2**5 + 2
+
+
+@pytest.mark.parametrize("argv", _TABLE_ARGVS, ids=["table", "json", "csv", "phenomenon"])
+def test_traced_layers_called_once_per_table(monkeypatch, argv):
+    # The benchmark's per-layer spans wrap these two module attributes; a
+    # table that stopped calling them there would read 0 for both layers.
+    calls = []
+    for module, name in ((halfrare.bounds, "boundary_distributions"),
+                         (transforms, "independent_epd")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, name=name, fn=fn, **k: calls.append(name) or fn(*a, **k))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "-p", "0.45,0.7,1/3,0,1,0.5,2/3,0.9,0.2"]) == 0
+    assert sorted(calls) == ["boundary_distributions", "independent_epd"]
+
+
+def test_json_table_same_with_unbuffered_stdout():
+    probs = ",".join(["0.45", "0.4", "0.35", "0.3", "0.25", "0.2"] * 2)
+    argv = [sys.executable, "-m", "halfrare", "bounds", "-p", probs, "--format", "json"]
+    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    buffered = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    unbuffered = subprocess.run(argv, capture_output=True, env=dict(env, PYTHONUNBUFFERED="1"),
+                                timeout=60)
+    assert buffered.returncode == unbuffered.returncode == 0
+    assert buffered.stdout.count(b'"subset"') == 2**12
+    assert (buffered.stdout, buffered.stderr) == (unbuffered.stdout, unbuffered.stderr)
 
 
 class TestVerifyCommand:
@@ -270,6 +327,21 @@ class TestPhenomenonCommand:
         assert code == 3
         assert "x9" in err
 
+    def test_empty_label_column_prints_dash(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"events": ["", "b", '"'], "probabilities": ["0.45"] * 3}))
+        _, out, _ = run(capsys, "phenomenon", "-i", str(path), "--kept", "b")
+        labels = {l.split(" ")[0]: l.split(" ")[1] for l in out.splitlines()[2:]}
+        assert (labels["000"], labels["100"], labels["111"]) == ("-", "^c", '^c+b+"^c')
+        # --kept drops empty items and a complemented label gains "^c", so no
+        # input keeps "" as a label; the identity map reaches the writer with it.
+        monkeypatch.setattr(transforms.PhenomenonMap, "map_marginals", lambda self, m: m)
+        _, out, _ = run(capsys, "phenomenon", "-i", str(path), "--kept", "b")
+        labels = {l.split(" ")[0]: l.split(" ")[1] for l in out.splitlines()[2:]}
+        assert (labels["000"], labels["100"], labels["110"], labels["011"]) == (
+            "-", "-", "+b", 'b+"'
+        )
+
     def test_matches_direct_bounds_on_complemented_marginals(self, capsys):
         _, phen, _ = run(capsys, "phenomenon", "-p", "0.45,0.40", "--kept", "",
                          "--exact")
@@ -324,6 +396,8 @@ class TestPhenomenonCommand:
         (["bounds", "-p", "0.45,0.40", "--digits", "3", "--exact"], None, 2),
         (["bounds", "-p", "0.45,0.40", "--exact", "--digits", "6"], None, 2),
         (["phenomenon", "-p", "0.45,0.40", "--kept", "x1", "--digits", "6", "--exact"], None, 2),
+        (["bounds", "-p", "0.4_5,0.4"], None, 2),
+        (["bounds", "-i", "DOC"], {"events": ["a", "b"], "probabilities": ["1_0/2_0", "0.4"]}, 2),
     ],
     ids=[
         "bounds-digits-negative",
@@ -364,6 +438,8 @@ class TestPhenomenonCommand:
         "bounds-exact-and-digits",
         "bounds-exact-and-default-digits",
         "phenomenon-exact-and-default-digits",
+        "probs-digit-separator",
+        "input-digit-separator",
     ],
 )
 def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):
@@ -500,8 +576,9 @@ def test_json_stream_matches_json_dump(capsys, tmp_path, labels):
 @pytest.mark.parametrize(
     "labels",
     [["a,b", 'q"', '"'], [",", '""', ""], [" lead", "trail ", " both ", "+"],
-     ["é", "日本", "\U0001f600"], ["a,b", '"', "", " s ", "+", "日本"]],
-    ids=["comma-quote", "bare-comma-quotes-empty", "spaces-plus", "non-ascii", "mixed"],
+     ["é", "日本", "\U0001f600"], ["a,b", '"', "", " s ", "+", "日本"], ["", "a,b", '"']],
+    ids=["comma-quote", "bare-comma-quotes-empty", "spaces-plus", "non-ascii", "mixed",
+         "empty-in-low-half"],
 )
 def test_csv_stream_matches_csv_writer(capsys, tmp_path, labels):
     doc = {"events": labels, "probabilities": (["0.45", "2/5", "0.7"] * 2)[: len(labels)]}

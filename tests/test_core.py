@@ -15,7 +15,7 @@ from halfrare import (
     marginals_from_values,
     validate_marginals,
 )
-from halfrare.cli import _subsets
+from halfrare.cli import _JSON_ITEM_SEP, _bound_rows
 from halfrare.core import (
     MAX_PROBABILITY_DIGITS,
     default_event_set,
@@ -119,17 +119,32 @@ class TestSubsets:
         assert indicator_string(7, 3) == "111"
         assert indicator_string(2, 3) == "010"
 
+    @staticmethod
+    def blocks(labels, sep):
+        m = marginals_from_values(["1/3"] * len(labels))
+        return list(_bound_rows(m, format_exact, labels, sep))
+
     def test_labels(self):
-        assert list(_subsets(("a", "b", "c")))[5] == ("101", ("a", "c"))
+        for sep in ("+", _JSON_ITEM_SEP):
+            rows = [row for block in self.blocks(("a", "b", "c"), sep) for row in block]
+            assert rows[5][:2] == ("101", f"a{sep}c")
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_subsets_match_definition(self, n):
-        labels = tuple(f"e{i}" for i in range(n))
-        expected = [
-            (indicator_string(x, n), tuple(lab for i, lab in enumerate(labels) if (x >> i) & 1))
-            for x in range(1 << n)
-        ]
-        assert list(_subsets(labels)) == expected
+        # Without an empty label, and with one at every position.
+        for empty in (None, *range(n)):
+            labels = tuple("" if i == empty else f"e{i}" for i in range(n))
+            for sep in ("+", _JSON_ITEM_SEP):
+                expected = [
+                    (
+                        indicator_string(x, n),
+                        sep.join(lab for i, lab in enumerate(labels) if (x >> i) & 1),
+                    )
+                    for x in range(1 << n)
+                ]
+                blocks = self.blocks(labels, sep)
+                assert [len(block) for block in blocks] == [1 << n // 2] * (1 << n - n // 2)
+                assert [row[:2] for block in blocks for row in block] == expected
 
     @given(st.integers(min_value=1, max_value=12), st.data())
     def test_indicator_round_trip(self, n, data):
