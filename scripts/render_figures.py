@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from halfrare import marginals_from_values
-from halfrare.figure import FigureSpec, render_figure
+from halfrare.figure import render_figure
 from halfrare.transforms import identity_phenomenon
 
 
@@ -23,7 +23,7 @@ def main() -> int:
     for n in range(2, 8):
         m = marginals_from_values(base[:n])
         path = outdir / f"intervals_n{n}.svg"
-        path.write_text(render_figure(m, FigureSpec()))
+        path.write_text(render_figure(m))
         print(f"wrote {path}")
 
     # Phenomenon variants of the penta-plet: complement the last k events.
@@ -31,7 +31,7 @@ def main() -> int:
     for k in range(1, 6):
         m = identity_phenomenon(5, kept=(1 << (5 - k)) - 1).map_marginals(penta)
         path = outdir / f"pentaplet_phenomenon_{5 - k}kept.svg"
-        path.write_text(render_figure(m, FigureSpec()))
+        path.write_text(render_figure(m))
         print(f"wrote {path}")
     return 0
 

@@ -15,6 +15,7 @@ any marginal set to that case, so the dense table is always computed there.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -49,10 +50,10 @@ class CovarianceBounds(Value):
 
 def lower_bound_general(x: int, m: MarginalSet) -> Fraction:
     check_subset(x, m.n)
-    total = ONE
-    for i, p in enumerate(m.probs):
-        total -= (ONE - p) if (x >> i) & 1 else p
-    return max(ZERO, total)
+    den = math.lcm(*(p.denominator for p in m.probs))  # integers: no gcd per event
+    nums = [p.numerator * (den // p.denominator) for p in m.probs]
+    total = den - sum(den - q if (x >> i) & 1 else q for i, q in enumerate(nums))
+    return Fraction(max(0, total), den)
 
 
 def upper_bound_general(x: int, m: MarginalSet) -> Fraction:

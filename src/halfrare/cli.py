@@ -33,6 +33,7 @@ from . import transforms as _transforms
 from .core import (
     MarginalSet,
     TerraceDistribution,
+    check_event_count,
     default_event_set,
     format_decimal,
     format_exact,
@@ -99,6 +100,8 @@ def _load_marginals(args: argparse.Namespace) -> MarginalSet:
         labels, items = _read_document(args.input)
     else:
         raise CliError(EXIT_PARSE, "no marginals given: use -p or --input")
+    # Before any item is parsed, so an oversized input fails fast.
+    check_event_count(len(items))
     probs = []
     for i, t in enumerate(items):
         try:
@@ -273,8 +276,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     m = _load_marginals(args)
-    spec = _figure.FigureSpec(width_px=args.width, height_px=args.height)
-    svg = _figure.render_figure(m, spec)
+    svg = _figure.render_figure(m)
     try:
         with open(args.out, "w") as f:
             f.write(svg)
@@ -377,16 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="render the interval chart as SVG")
     _add_input_args(p)
     p.add_argument("--out", required=True, help="output SVG path")
-    default = _figure.FigureSpec()
-    p.add_argument("--width", type=int, default=default.width_px)
-    p.add_argument("--height", type=int, default=default.height_px)
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("phenomenon", help="complement events outside a kept set")
     _add_input_args(p)
     _add_number_args(p)
     p.add_argument("--kept", required=True,
-                   help="comma list of labels left uncomplemented; may be empty")
+                   help="labels left uncomplemented, split on commas; empty items dropped")
     p.set_defaults(func=cmd_phenomenon)
 
     return parser

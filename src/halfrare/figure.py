@@ -11,56 +11,41 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bounds import boundary_distributions
-from .core import MarginalSet, Value, indicator_string
-from .errors import EventologyError, TooLarge
+from .core import MarginalSet, indicator_string
+from .errors import TooLarge
 from .transforms import independent_epd
 
 #: Bars stop being legible past this many events.
 MAX_FIGURE_EVENTS = 8
 
+#: The chart's size in pixels; its `viewBox` lets a viewer scale it.
+WIDTH, HEIGHT = 640, 480
+
 #: Pixels between the figure's edges and its plot area.
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 42, 12, 12, 32
+PLOT_WIDTH = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+PLOT_HEIGHT = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
 
-class FigureSpec(Value):
-    __slots__ = ("width_px", "height_px")
-
-    def __init__(self, width_px: int = 640, height_px: int = 480) -> None:
-        super().__init__(width_px, height_px)
-
-    def __post_init__(self) -> None:
-        if self.plot_width <= 0 or self.plot_height <= 0:
-            raise EventologyError(
-                f"a {self.width_px}x{self.height_px} figure leaves no plot area inside its margins"
-            )
-
-    @property
-    def plot_width(self) -> float:
-        return self.width_px - MARGIN_LEFT - MARGIN_RIGHT
-
-    @property
-    def plot_height(self) -> float:
-        return self.height_px - MARGIN_TOP - MARGIN_BOTTOM
-
-    def y(self, value: Fraction) -> float:
-        return MARGIN_TOP + (1 - float(value)) * self.plot_height
+def _y(value: Fraction) -> float:
+    return MARGIN_TOP + (1 - float(value)) * PLOT_HEIGHT
 
 
-def render_figure(m: MarginalSet, spec: FigureSpec = FigureSpec()) -> str:
+def render_figure(m: MarginalSet) -> str:
     """Fréchet-interval chart for a marginal set as an SVG 1.1 document."""
     if m.n > MAX_FIGURE_EVENTS:
         raise TooLarge(f"N={m.n} exceeds the figure cap {MAX_FIGURE_EVENTS}")
-    bd = boundary_distributions(m, spec.y)
+    bd = boundary_distributions(m, _y)
     star = independent_epd(m)
     n = m.n
     ncells = 1 << n
-    slot = spec.plot_width / ncells
+    slot = PLOT_WIDTH / ncells
     bar = slot * 0.6
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{spec.width_px}" height="{spec.height_px}" '
-        f'viewBox="0 0 {spec.width_px} {spec.height_px}">',
+        f'width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         '<style>.grid{stroke:#888;stroke-width:1}'
         ".blue{fill:#2060c0}.red{fill:#c03030}"
         ".tick{font:9px sans-serif;fill:#444}"
@@ -68,11 +53,11 @@ def render_figure(m: MarginalSet, spec: FigureSpec = FigureSpec()) -> str:
     ]
     for k in range(5):
         q = Fraction(k, 4)
-        y = spec.y(q)
+        y = _y(q)
         parts.append(
             f'<line class="grid" stroke-dasharray="4 3" '
             f'x1="{MARGIN_LEFT}" y1="{y:.2f}" '
-            f'x2="{spec.width_px - MARGIN_RIGHT}" y2="{y:.2f}"/>'
+            f'x2="{WIDTH - MARGIN_RIGHT}" y2="{y:.2f}"/>'
         )
         parts.append(
             f'<text class="tick" x="4" y="{y + 3:.2f}">{k}/4</text>'
@@ -82,7 +67,7 @@ def render_figure(m: MarginalSet, spec: FigureSpec = FigureSpec()) -> str:
     for x in range(ncells):
         cx = MARGIN_LEFT + slot * (x + 0.5)
         left = cx - bar / 2
-        y_up, y_star, y_lo = bd.upper[x], spec.y(star[x]), bd.lower[x]
+        y_up, y_star, y_lo = bd.upper[x], _y(star[x]), bd.lower[x]
         parts.append(
             f'<rect class="blue" x="{left:.2f}" y="{y_up:.2f}" '
             f'width="{bar:.2f}" height="{y_star - y_up:.2f}"/>'
@@ -92,7 +77,7 @@ def render_figure(m: MarginalSet, spec: FigureSpec = FigureSpec()) -> str:
             f'width="{bar:.2f}" height="{y_lo - y_star:.2f}"/>'
         )
         parts.append(
-            f'<text class="label" x="{cx:.2f}" y="{spec.height_px - 8}">'
+            f'<text class="label" x="{cx:.2f}" y="{HEIGHT - 8}">'
             f"{indicator_string(x, n)}</text>"
         )
     parts.append("</svg>")

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import csv
@@ -5,6 +6,7 @@ import importlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -270,6 +272,9 @@ class TestFigureCommand:
                          "--out", str(out_path))
         assert code == 0
         root = ET.fromstring(out_path.read_text())
+        assert (root.get("width"), root.get("height"), root.get("viewBox")) == (
+            "640", "480", "0 0 640 480"
+        )
         rects = root.findall(".//{http://www.w3.org/2000/svg}rect")
         assert len(rects) == 64  # one blue + one red per subset
         blues = [r for r in rects if r.get("class") == "blue"]
@@ -364,8 +369,8 @@ class TestPhenomenonCommand:
         (["verify", "--random", "0"], None, 2),
         (["verify", "--random", "1", "--n", "0"], None, 2),
         (["verify", "--random", "1", "--n", "-3"], None, 2),
-        (["figure", "-p", "0.45,0.40", "--width", "0"], None, 3),
-        (["figure", "-p", "0.45,0.40", "--height", "44"], None, 3),
+        (["figure", "-p", "0.45,0.40", "--width", "640"], None, 2),
+        (["figure", "-p", "0.45,0.40", "--height", "480"], None, 2),
         (["bounds", "-i", "DOC"], {"events": [1, 2], "probabilities": ["0.45", "0.4"]}, 2),
         (["bounds", "-i", "DOC"], {"events": "ab", "probabilities": ["0.45", "0.4"]}, 2),
         (["bounds", "-i", "DOC"], {"events": ["a"], "probabilities": "1"}, 2),
@@ -398,6 +403,9 @@ class TestPhenomenonCommand:
         (["phenomenon", "-p", "0.45,0.40", "--kept", "x1", "--digits", "6", "--exact"], None, 2),
         (["bounds", "-p", "0.4_5,0.4"], None, 2),
         (["bounds", "-i", "DOC"], {"events": ["a", "b"], "probabilities": ["1_0/2_0", "0.4"]}, 2),
+        (["bounds", "-p", ",".join(["0.4"] * 20 + ["x"])], None, 3),
+        (["phenomenon", "-i", "DOC", "--kept", "a,b"],
+         {"events": ["", "a,b", '"'], "probabilities": ["0.4"] * 3}, 3),
     ],
     ids=[
         "bounds-digits-negative",
@@ -406,8 +414,8 @@ class TestPhenomenonCommand:
         "verify-random-zero",
         "verify-n-zero",
         "verify-n-negative",
-        "figure-width-zero",
-        "figure-no-plot-height",
+        "figure-width-removed",
+        "figure-height-removed",
         "events-not-strings",
         "events-a-string",
         "probabilities-a-string",
@@ -440,6 +448,8 @@ class TestPhenomenonCommand:
         "phenomenon-exact-and-default-digits",
         "probs-digit-separator",
         "input-digit-separator",
+        "oversized-list-malformed-item",
+        "kept-label-with-comma",
     ],
 )
 def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):
@@ -486,6 +496,40 @@ def test_huge_random_n_exits_3():
     )
     assert proc.returncode == 3
     assert proc.stderr == "error: N=1000000000000 exceeds the dense cap 20\n"
+
+
+@pytest.mark.parametrize("source", ["probs", "input"])
+def test_oversized_input_rejected_before_any_probability_is_parsed(
+    capsys, monkeypatch, tmp_path, source
+):
+    calls = []
+    real = cli.parse_probability
+    monkeypatch.setattr(cli, "parse_probability", lambda text: calls.append(text) or real(text))
+    items = ["0.4"] * 21
+    if source == "probs":
+        argv = ["-p", ",".join(items)]
+    else:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"events": [f"e{i}" for i in range(21)], "probabilities": items}))
+        argv = ["-i", str(path)]
+    code, out, err = run(capsys, "bounds", *argv)
+    assert (code, out, err) == (3, "", "error: N=21 exceeds the dense cap 20\n")
+    assert calls == []
+
+
+def test_readme_names_every_cli_option():
+    # Under any one of its option strings, as a whole token: -p counts for --probs.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if action.option_strings and "-h" not in action.option_strings:
+                assert any(
+                    re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", readme)
+                    for opt in action.option_strings
+                ), (command, action.option_strings)
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_out():

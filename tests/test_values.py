@@ -1,4 +1,4 @@
-"""The contract of the ten value types: built once by position or keyword,
+"""The contract of the nine value types: built once by position or keyword,
 equal and hashed by exact class and fields, printed as a dataclass prints, and
 closed to assignment and deletion."""
 
@@ -18,7 +18,6 @@ from halfrare import (
     TerraceDistribution,
     VerificationReport,
 )
-from halfrare.figure import FigureSpec
 from halfrare.oracle import SubsetRecord
 
 F = Fraction
@@ -55,8 +54,6 @@ CASES = [
      f"CovarianceBounds(events={R1}, intervals=((Fraction(-1, 4), Fraction(1, 4)),))"),
     (PhenomenonMap, dict(n=2, kept=1, order=(1, 0)), PhenomenonMap(2, 3, (1, 0)),
      "PhenomenonMap(n=2, kept=1, order=(1, 0))"),
-    (FigureSpec, dict(width_px=300, height_px=200), FigureSpec(),
-     "FigureSpec(width_px=300, height_px=200)"),
     (SubsetRecord, REC, SubsetRecord(**{**REC, "lp_max": F(1)}), RREC),
     (VerificationReport, dict(marginals=M, records=(SubsetRecord(**REC),)),
      VerificationReport(M, ()), f"VerificationReport(marginals={RM}, records=({RREC},))"),
@@ -119,7 +116,3 @@ def test_fields_are_set_once(cls, fields, other, text):
             delattr(value, name)
     assert tuple(getattr(value, name) for name in fields) == tuple(fields.values())
 
-
-def test_figure_spec_defaults_to_640_by_480():
-    assert (FigureSpec().width_px, FigureSpec().height_px) == (640, 480)
-    assert FigureSpec(width_px=300) == FigureSpec(300, 480)
