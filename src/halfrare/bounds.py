@@ -15,7 +15,6 @@ any marginal set to that case, so the dense table is always computed there.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -28,6 +27,7 @@ from .core import (
     Value,
     check_subset,
     make_event_set,
+    over_common_denominator,
 )
 from .errors import MarginalMismatch
 from .transforms import half_rare_map, independent_epd
@@ -35,9 +35,10 @@ from .transforms import half_rare_map, independent_epd
 
 class BoundaryDistributions(Value):
     """Lower and upper Fréchet bounds over the full power set, one cell per
-    subset in ascending bitmask order.  A cell is the bound itself or, from
-    `boundary_distributions(m, level)`, `level` of it; either way the two
-    columns hold at most N+4 distinct objects."""
+    subset in ascending bitmask order; the only 2^N-entry objects of the
+    dense path, whose renumbering is two half tables.  A cell is the bound
+    itself or, from `boundary_distributions(m, level)`, `level` of it; either
+    way the two columns hold at most N+4 distinct objects."""
 
     __slots__ = ("events", "lower", "upper")
 
@@ -50,34 +51,30 @@ class CovarianceBounds(Value):
 
 def lower_bound_general(x: int, m: MarginalSet) -> Fraction:
     check_subset(x, m.n)
-    den = math.lcm(*(p.denominator for p in m.probs))  # integers: no gcd per event
-    nums = [p.numerator * (den // p.denominator) for p in m.probs]
+    nums, den = over_common_denominator(m.probs)
     total = den - sum(den - q if (x >> i) & 1 else q for i, q in enumerate(nums))
     return Fraction(max(0, total), den)
 
 
 def upper_bound_general(x: int, m: MarginalSet) -> Fraction:
     check_subset(x, m.n)
-    best = None
-    for i, p in enumerate(m.probs):
-        v = p if (x >> i) & 1 else ONE - p
-        if best is None or v < best:
-            best = v
-    assert best is not None  # N >= 1 so one side is always nonempty
-    return best
+    nums, den = over_common_denominator(m.probs)
+    return Fraction(min(q if (x >> i) & 1 else den - q for i, q in enumerate(nums)), den)
 
 
 def _half_rare_levels(p: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """The half-rare closed forms for probabilities `p` in half-rare order:
     the 3 lower values (at y = 0, at y = 1 and 0 elsewhere) and the N+1 upper
     values (1 - p_1 at y = 0, else p at y's highest bit)."""
-    rest = sum(p) - p[0]
-    return (max(ZERO, ONE - p[0] - rest), max(ZERO, p[0] - rest), ZERO), (ONE - p[0], *p)
+    nums, den = over_common_denominator(p)
+    first, rest = nums[0], sum(nums) - nums[0]
+    lows = (Fraction(max(0, den - first - rest), den), Fraction(max(0, first - rest), den), ZERO)
+    return lows, (Fraction(den - first, den), *p)
 
 
 def lower_bound_half_rare(x: int, h: HalfRareMarginalSet) -> Fraction:
     check_subset(x, h.n)
-    return _half_rare_levels(h.probs)[0][min(x, 2)]
+    return _half_rare_levels(h.probs)[0][x] if x < 2 else ZERO
 
 
 def boundary_distributions(
@@ -87,18 +84,20 @@ def boundary_distributions(
     the marginals to the half-rare case and read its closed forms at each
     subset's image y under the one renumbering.  Labels play no part.
 
-    The closed forms take N+4 values, so `level` is applied to each of them
-    once and every cell holds one of the results."""
+    The columns are filled one block per entry b of the high half table,
+    y = a | b over the low one.  The closed forms take N+4 values, so `level`
+    is applied to each once and every cell holds one of the results; a
+    block with b >= 2 has y >= 2, so all its lower cells hold the third."""
     pm = half_rare_map(m.probs)
     lows, ups = _half_rare_levels(pm.map_probs(m.probs))
     lows = [level(q) for q in lows]
     ups = [level(q) for q in ups]
-    table = pm.subset_table()
-    return BoundaryDistributions(
-        m.events,
-        tuple(lows[y if y < 2 else 2] for y in table),
-        tuple(ups[y.bit_length()] for y in table),
-    )
+    lo, hi = pm.half_tables(m.n // 2)
+    lower, upper = [], []
+    for b in hi:
+        lower += [lows[2]] * len(lo) if b >= 2 else [lows[min(a | b, 2)] for a in lo]
+        upper += [ups[(a | b).bit_length()] for a in lo]
+    return BoundaryDistributions(m.events, tuple(lower), tuple(upper))
 
 
 def _doublet_marginals(p_x: Fraction, p_y: Fraction) -> HalfRareMarginalSet:

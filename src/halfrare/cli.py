@@ -122,14 +122,14 @@ def _fmt(args: argparse.Namespace) -> Callable[[int, int], str]:
 
 def _half_table(labels: Sequence[str], sep: str) -> list[tuple[str, str]]:
     """(indicator string, labels in X joined by `sep`) for every subset X of
-    `labels`, in ascending bitmask order."""
-    return [
-        (
-            "".join("1" if (x >> i) & 1 else "0" for i in range(len(labels))),
-            sep.join(lab for i, lab in enumerate(labels) if (x >> i) & 1),
-        )
-        for x in range(1 << len(labels))
-    ]
+    `labels`, in ascending bitmask order, by doubling: one event at a time,
+    its column gets "0" or "1" and its label joins every nonempty subset."""
+    words, joined = [""], [""]
+    for lab in labels:
+        words = [w + bit for bit in "01" for w in words]
+        # By subset, not by string: a label may be "".
+        joined += [j + sep + lab if x else lab for x, j in enumerate(joined)]
+    return list(zip(words, joined))
 
 
 def _bound_rows(

@@ -222,6 +222,13 @@ class HalfRareMarginalSet(MarginalSet):
             raise NotHalfRare(f"probabilities violate the half-rare order: {self.probs}")
 
 
+def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The numerators of `values` over their least common denominator D, and
+    D: sums and comparisons in integers, with no gcd per term."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 class TerraceDistribution(Value):
     """A joint distribution of the events: the probability that exactly the
     events in X occur is `numerators[X] / den`, for every subset X.  The
@@ -246,8 +253,8 @@ class TerraceDistribution(Value):
     def from_atoms(cls, events: EventSet, atoms: Sequence[Fraction]) -> TerraceDistribution:
         """The distribution with these `Fraction` atoms, over their least
         common denominator."""
-        den = math.lcm(*(a.denominator for a in atoms))
-        return cls(events, tuple(a.numerator * (den // a.denominator) for a in atoms), den)
+        nums, den = over_common_denominator(atoms)
+        return cls(events, tuple(nums), den)
 
     @property
     def atoms(self) -> tuple[Fraction, ...]:

@@ -14,15 +14,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (
-    HALF,
     ONE,
     MarginalSet,
     TerraceDistribution,
     Value,
     make_event_set,
+    over_common_denominator,
     validate_marginals,
 )
-from .errors import LengthMismatch
+from .errors import IndexOutOfRange, LengthMismatch
 
 
 class PhenomenonMap(Value):
@@ -30,7 +30,8 @@ class PhenomenonMap(Value):
 
     `kept` is the bitmask M of events left alone; all others are complemented.
     `order` lists original event indices in their new positions, so
-    `order == (0, 1, ..., N-1)` is the identity relabeling.
+    `order == (0, 1, ..., N-1)` is the identity relabeling.  Subsets are
+    renumbered X -> perm(X xor C), C the complemented events (`half_tables`).
     """
 
     __slots__ = ("n", "kept", "order")
@@ -39,17 +40,23 @@ class PhenomenonMap(Value):
     def complemented(self) -> int:
         return ((1 << self.n) - 1) ^ self.kept
 
-    def subset_table(self) -> list[int]:
-        """The renumbering X -> perm(X xor C) for every subset X, in one pass.
-
-        perm is linear over xor, so each entry is its predecessor without the
-        lowest set bit, xored with that bit's new position."""
-        pos = {1 << i: 1 << j for j, i in enumerate(self.order)}
-        table = [sum(b for low, b in pos.items() if low & self.complemented)]
-        for x in range(1, 1 << self.n):
-            low = x & -x
-            table.append(table[x ^ low] ^ pos[low])
-        return table
+    def half_tables(self, h: int) -> tuple[list[int], list[int]]:
+        """The renumbering X -> perm(X xor C) as two tables, `lo` over the
+        first h events and `hi` over the rest, whose entries share no bit: X
+        maps to `lo[X & (2^h - 1)] | hi[X >> h]`.  perm is linear over xor, so
+        each table starts at the image of its half of C and doubles per event."""
+        if not 0 <= h <= self.n:
+            raise IndexOutOfRange(f"half size {h} not in [0, {self.n}]")
+        pos = [0] * self.n
+        for j, i in enumerate(self.order):
+            pos[i] = 1 << j
+        tables = []
+        for events in (range(h), range(h, self.n)):
+            table = [sum(pos[i] for i in events if (self.complemented >> i) & 1)]
+            for i in events:
+                table += [y ^ pos[i] for y in table]
+            tables.append(table)
+        return tables[0], tables[1]
 
     def map_probs(self, probs: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Marginals after the transform: complemented events get 1 - p."""
@@ -84,9 +91,10 @@ def independent_epd(m: MarginalSet) -> TerraceDistribution:
 
 def half_rare_map(probs: Sequence[Fraction]) -> PhenomenonMap:
     """Complement events with p > 1/2, then stably sort descending."""
-    kept = sum(1 << i for i, p in enumerate(probs) if p <= HALF)
-    order = tuple(sorted(range(len(probs)), key=lambda i: -min(probs[i], ONE - probs[i])))
-    return PhenomenonMap(len(probs), kept, order)
+    nums, den = over_common_denominator(probs)
+    kept = sum(1 << i for i, q in enumerate(nums) if 2 * q <= den)
+    order = tuple(sorted(range(len(nums)), key=lambda i: -min(nums[i], den - nums[i])))
+    return PhenomenonMap(len(nums), kept, order)
 
 
 def apply_phenomenon(values: Sequence[Fraction], pm: PhenomenonMap) -> tuple[Fraction, ...]:
@@ -94,7 +102,8 @@ def apply_phenomenon(values: Sequence[Fraction], pm: PhenomenonMap) -> tuple[Fra
     perm(X xor C).  A bijection, so the value multiset is preserved."""
     if len(values) != 1 << pm.n:
         raise LengthMismatch(f"{len(values)} values for N={pm.n}")
+    lo, hi = pm.half_tables(pm.n // 2)
     out = list(values)
-    for x, y in enumerate(pm.subset_table()):
-        out[y] = values[x]
+    for x, v in enumerate(values):
+        out[lo[x % len(lo)] | hi[x // len(lo)]] = v
     return tuple(out)

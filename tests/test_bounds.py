@@ -15,6 +15,7 @@ from halfrare import (
     lower_bound_general,
     lower_bound_half_rare,
     marginals_from_values,
+    random_marginals,
     upper_bound_general,
 )
 from halfrare.core import (
@@ -138,6 +139,20 @@ class TestBoundaryDistributions:
         for x in range(1 << m.n):
             assert bd.lower[x] == lower_bound_general(x, m)
             assert bd.upper[x] == upper_bound_general(x, m)
+
+    @pytest.mark.parametrize("m", [
+        *(marginals_from_values([p]) for p in (0, F(1, 3), F(1, 2), F(2, 3), 1)),
+        *(random_marginals(n, seed=n, half_rare=half_rare)
+          for n in range(9, 13) for half_rare in (False, True)),
+        # Ties, 0, 1/2 and 1 at N=11.
+        marginals_from_values("1/2 0 3/4 1 1/4 3/4 1/4 0 1 1/2 1/3".split()),
+    ], ids=lambda m: f"n{m.n}")
+    def test_matches_general_formulas_at_n1_and_n9_to_12(self, m):
+        # N=1 leaves the low half table empty of events; N=11 and 12 reach
+        # past the 10 events the strategies draw, with uneven halves at odd N.
+        bd = boundary_distributions(m)
+        assert bd.lower == tuple(lower_bound_general(x, m) for x in range(1 << m.n))
+        assert bd.upper == tuple(upper_bound_general(x, m) for x in range(1 << m.n))
 
     def test_labels_play_no_part(self):
         # Projecting would label both events "a^c"; the bounds never build

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from halfrare import apply_phenomenon, independent_epd, marginals_from_values
-from halfrare.errors import LengthMismatch
+from halfrare.errors import IndexOutOfRange, LengthMismatch
 from halfrare.transforms import PhenomenonMap, half_rare_map, identity_phenomenon
 
 from conftest import independent_value, marginal_sets, unit_fraction
@@ -100,6 +100,31 @@ def phenomenon_maps(draw, n):
     return PhenomenonMap(n, kept, order)
 
 
+def _image(pm, x):
+    """perm(x xor C), one event at a time."""
+    w = x ^ pm.complemented
+    return sum(1 << j for j, i in enumerate(pm.order) if (w >> i) & 1)
+
+
+@given(st.integers(min_value=1, max_value=8), st.data())
+def test_half_tables_match_definition(n, data):
+    pm = data.draw(phenomenon_maps(n))
+    for h in range(n + 1):
+        lo, hi = pm.half_tables(h)
+        assert len(lo) == 2**h and len(hi) == 2 ** (n - h)
+        assert not any(a & b for a in lo for b in hi)
+        mask = (1 << h) - 1
+        assert [lo[x & mask] | hi[x >> h] for x in range(1 << n)] == [
+            _image(pm, x) for x in range(1 << n)
+        ]
+
+
+@pytest.mark.parametrize("h", [-1, 4])
+def test_half_tables_reject_a_split_outside_the_events(h):
+    with pytest.raises(IndexOutOfRange):
+        identity_phenomenon(3).half_tables(h)
+
+
 class TestApplyPhenomenon:
     def test_identity(self):
         d = independent_epd(marginals_from_values(["0.45", "0.40"]))
@@ -125,16 +150,7 @@ class TestApplyPhenomenon:
         values = tuple(data.draw(st.lists(unit_fraction, min_size=2**n, max_size=2**n)))
         out = apply_phenomenon(values, pm)
         assert sorted(out) == sorted(values)
-        table = pm.subset_table()
-        assert all(out[table[x]] == values[x] for x in range(2**n))
-
-    @given(st.integers(min_value=1, max_value=6), st.data())
-    def test_subset_table_matches_definition(self, n, data):
-        pm = data.draw(phenomenon_maps(n))
-        table = pm.subset_table()
-        for x in range(1 << n):
-            w = x ^ pm.complemented
-            assert table[x] == sum(1 << j for j, i in enumerate(pm.order) if (w >> i) & 1)
+        assert all(out[_image(pm, x)] == values[x] for x in range(2**n))
 
     @given(marginal_sets())
     def test_commutes_with_independence(self, m):
