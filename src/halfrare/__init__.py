@@ -6,7 +6,6 @@ from .bounds import (
     CovarianceBounds,
     boundary_distributions,
     covariance_bounds_doublet,
-    covariance_first_kind,
     doublet_bounds,
     lower_bound_general,
     lower_bound_half_rare,
@@ -48,7 +47,6 @@ __all__ = [
     "apply_phenomenon",
     "boundary_distributions",
     "covariance_bounds_doublet",
-    "covariance_first_kind",
     "doublet_bounds",
     "independent_epd",
     "indicator_string",

@@ -23,22 +23,20 @@ from .core import (
     ZERO,
     HalfRareMarginalSet,
     MarginalSet,
-    TerraceDistribution,
     Value,
     check_subset,
     make_event_set,
     over_common_denominator,
 )
-from .errors import MarginalMismatch
-from .transforms import half_rare_map, independent_epd
+from .transforms import half_rare_map
 
 
 class BoundaryDistributions(Value):
     """Lower and upper Fréchet bounds over the full power set, one cell per
-    subset in ascending bitmask order; the only 2^N-entry objects of the
-    dense path, whose renumbering is two half tables.  A cell is the bound
-    itself or, from `boundary_distributions(m, level)`, `level` of it; either
-    way the two columns hold at most N+4 distinct objects."""
+    subset in ascending bitmask order: with `independent_epd`'s table, the
+    2^N-entry objects of the dense path.  A cell is the bound itself or, from
+    `boundary_distributions(m, level)`, `level` of it; either way the two
+    columns hold at most N+4 distinct objects."""
 
     __slots__ = ("events", "lower", "upper")
 
@@ -92,7 +90,7 @@ def boundary_distributions(
     lows, ups = _half_rare_levels(pm.map_probs(m.probs))
     lows = [level(q) for q in lows]
     ups = [level(q) for q in ups]
-    lo, hi = pm.half_tables(m.n // 2)
+    lo, hi = pm.half_tables()
     lower, upper = [], []
     for b in hi:
         lower += [lows[2]] * len(lo) if b >= 2 else [lows[min(a | b, 2)] for a in lo]
@@ -107,18 +105,6 @@ def _doublet_marginals(p_x: Fraction, p_y: Fraction) -> HalfRareMarginalSet:
 def doublet_bounds(p_x: Fraction, p_y: Fraction) -> BoundaryDistributions:
     """Bounds for a half-rare pair, in subset order (empty, {x}, {y}, {x,y})."""
     return boundary_distributions(_doublet_marginals(p_x, p_y))
-
-
-def covariance_first_kind(d: TerraceDistribution, m: MarginalSet) -> tuple[Fraction, ...]:
-    """Deviation of every terrace probability from its value under
-    independence, d - independent_epd(m), over all 2^N subsets."""
-    if d.events.n != m.n or d.induced_marginals() != m.probs:
-        raise MarginalMismatch("distribution marginals do not match the declared ones")
-    star = independent_epd(m)
-    return tuple(
-        Fraction(a * star.den - s * d.den, d.den * star.den)
-        for a, s in zip(d.numerators, star.numerators)
-    )
 
 
 def covariance_bounds_doublet(p_x: Fraction, p_y: Fraction) -> CovarianceBounds:

@@ -393,6 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if sys.stdout is None:
+        # None when fd 1 was closed at start.  An unwritable stream, left
+        # open as the standard ones are, makes a command that prints exit 5.
+        sys.stdout = open(os.open(os.devnull, os.O_RDONLY), closefd=False)
     try:
         code = args.func(args)
         sys.stdout.flush()

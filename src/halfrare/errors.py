@@ -40,10 +40,6 @@ class NotHalfRare(EventologyError):
     pass
 
 
-class MarginalMismatch(EventologyError):
-    pass
-
-
 class Infeasible(EventologyError):
     """The simplex found an unbounded direction.  The LP starts at a feasible
     vertex of a bounded polytope, so this always signals an implementation bug."""

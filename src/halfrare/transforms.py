@@ -18,6 +18,7 @@ from .core import (
     MarginalSet,
     TerraceDistribution,
     Value,
+    check_subset,
     make_event_set,
     over_common_denominator,
     validate_marginals,
@@ -26,33 +27,38 @@ from .errors import IndexOutOfRange, LengthMismatch
 
 
 class PhenomenonMap(Value):
-    """Data of a set-phenomenon transform.
+    """Data of a set-phenomenon transform on N = len(order) events.
 
     `kept` is the bitmask M of events left alone; all others are complemented.
-    `order` lists original event indices in their new positions, so
-    `order == (0, 1, ..., N-1)` is the identity relabeling.  Subsets are
-    renumbered X -> perm(X xor C), C the complemented events (`half_tables`).
+    `order`, a permutation of 0..N-1, lists original event indices in their
+    new positions, so `order == (0, 1, ..., N-1)` is the identity relabeling.
+    Subsets are renumbered X -> perm(X xor C), C the complemented events
+    (`half_tables`).
     """
 
-    __slots__ = ("n", "kept", "order")
+    __slots__ = ("kept", "order")
+
+    def __post_init__(self) -> None:
+        if sorted(self.order) != list(range(self.n)):
+            raise IndexOutOfRange(f"order {self.order} is not a permutation of 0..{self.n - 1}")
+        check_subset(self.kept, self.n)
 
     @property
-    def complemented(self) -> int:
-        return ((1 << self.n) - 1) ^ self.kept
+    def n(self) -> int:
+        return len(self.order)
 
-    def half_tables(self, h: int) -> tuple[list[int], list[int]]:
+    def half_tables(self) -> tuple[list[int], list[int]]:
         """The renumbering X -> perm(X xor C) as two tables, `lo` over the
-        first h events and `hi` over the rest, whose entries share no bit: X
-        maps to `lo[X & (2^h - 1)] | hi[X >> h]`.  perm is linear over xor, so
-        each table starts at the image of its half of C and doubles per event."""
-        if not 0 <= h <= self.n:
-            raise IndexOutOfRange(f"half size {h} not in [0, {self.n}]")
+        first h = N // 2 events and `hi` over the rest, whose entries share no
+        bit: X maps to `lo[X & (2^h - 1)] | hi[X >> h]`.  perm is linear over
+        xor, so each table starts at the image of its half of C and doubles
+        per event."""
         pos = [0] * self.n
         for j, i in enumerate(self.order):
             pos[i] = 1 << j
         tables = []
-        for events in (range(h), range(h, self.n)):
-            table = [sum(pos[i] for i in events if (self.complemented >> i) & 1)]
+        for events in (range(self.n // 2), range(self.n // 2, self.n)):
+            table = [sum(pos[i] for i in events if not (self.kept >> i) & 1)]
             for i in events:
                 table += [y ^ pos[i] for y in table]
             tables.append(table)
@@ -72,8 +78,7 @@ class PhenomenonMap(Value):
 
 
 def identity_phenomenon(n: int, kept: int | None = None) -> PhenomenonMap:
-    full = (1 << n) - 1
-    return PhenomenonMap(n, full if kept is None else kept, tuple(range(n)))
+    return PhenomenonMap((1 << n) - 1 if kept is None else kept, tuple(range(n)))
 
 
 def independent_epd(m: MarginalSet) -> TerraceDistribution:
@@ -94,7 +99,7 @@ def half_rare_map(probs: Sequence[Fraction]) -> PhenomenonMap:
     nums, den = over_common_denominator(probs)
     kept = sum(1 << i for i, q in enumerate(nums) if 2 * q <= den)
     order = tuple(sorted(range(len(nums)), key=lambda i: -min(nums[i], den - nums[i])))
-    return PhenomenonMap(len(nums), kept, order)
+    return PhenomenonMap(kept, order)
 
 
 def apply_phenomenon(values: Sequence[Fraction], pm: PhenomenonMap) -> tuple[Fraction, ...]:
@@ -102,7 +107,7 @@ def apply_phenomenon(values: Sequence[Fraction], pm: PhenomenonMap) -> tuple[Fra
     perm(X xor C).  A bijection, so the value multiset is preserved."""
     if len(values) != 1 << pm.n:
         raise LengthMismatch(f"{len(values)} values for N={pm.n}")
-    lo, hi = pm.half_tables(pm.n // 2)
+    lo, hi = pm.half_tables()
     out = list(values)
     for x, v in enumerate(values):
         out[lo[x % len(lo)] | hi[x // len(lo)]] = v

@@ -1,15 +1,13 @@
-import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from halfrare import (
     HalfRareMarginalSet,
     boundary_distributions,
     covariance_bounds_doublet,
-    covariance_first_kind,
     doublet_bounds,
     independent_epd,
     lower_bound_general,
@@ -24,14 +22,13 @@ from halfrare.core import (
     make_event_set,
     validate_marginals,
 )
-from halfrare.errors import IndexOutOfRange, MarginalMismatch, NotHalfRare
+from halfrare.errors import IndexOutOfRange, NotHalfRare
 
 from conftest import (
     half_rare_sets,
     independent_value,
     marginal_sets,
     tied_marginal_sets,
-    unit_fraction,
 )
 
 F = Fraction
@@ -212,47 +209,21 @@ class TestDoublet:
 
 
 class TestCovariance:
-    def test_independent_distribution_zeroes(self):
-        d = independent_epd(FIG_DOUBLET)
-        assert covariance_first_kind(d, FIG_DOUBLET) == (0, 0, 0, 0)
-
-    def test_independent_table_n12_is_zero_and_fast(self):
-        m = marginals_from_values([F(k, 25) for k in range(1, 13)])
-        d = independent_epd(m)
-        start = time.perf_counter()
-        cov = covariance_first_kind(d, m)
-        elapsed = time.perf_counter() - start
-        assert len(cov) == 1 << 12 and all(c == 0 for c in cov)
-        assert elapsed < 1.0  # the marginals are checked once, not per cell
-
-    @given(st.integers(min_value=1, max_value=4), st.data())
-    def test_table_matches_per_cell_definition(self, n, data):
-        atoms = data.draw(st.lists(unit_fraction, min_size=1 << n, max_size=1 << n))
-        assume(sum(atoms) > 0)
-        d = TerraceDistribution.from_atoms(default_event_set(n), [a / sum(atoms) for a in atoms])
-        m = validate_marginals(d.events, d.induced_marginals())
-        assert covariance_first_kind(d, m) == tuple(
-            d[x] - independent_value(x, m) for x in range(1 << n)
-        )
-
     def test_upper_attainment(self):
         # Mass of y pushed entirely inside x: p(xy) = p_y.
         d = TerraceDistribution.from_atoms(
             default_event_set(2), (F(11, 20), F(1, 20), F(0), F(2, 5))
         )
-        assert covariance_first_kind(d, FIG_DOUBLET)[3] == F(11, 50)
+        cb = covariance_bounds_doublet(*FIG_DOUBLET.probs)
+        assert d[3] - independent_epd(FIG_DOUBLET)[3] == cb.intervals[3][1] == F(11, 50)
 
     def test_lower_attainment(self):
         # x and y disjoint: p(xy) = 0.
         d = TerraceDistribution.from_atoms(
             default_event_set(2), (F(3, 20), F(9, 20), F(2, 5), F(0))
         )
-        assert covariance_first_kind(d, FIG_DOUBLET)[3] == F(-9, 50)
-
-    def test_marginal_mismatch(self):
-        d = independent_epd(marginals_from_values(["0.3", "0.3"]))
-        with pytest.raises(MarginalMismatch):
-            covariance_first_kind(d, FIG_DOUBLET)
+        cb = covariance_bounds_doublet(*FIG_DOUBLET.probs)
+        assert d[3] - independent_epd(FIG_DOUBLET)[3] == cb.intervals[3][0] == F(-9, 50)
 
     def test_fig_doublet_intervals(self):
         cb = covariance_bounds_doublet(F(9, 20), F(2, 5))

@@ -8,6 +8,7 @@ import json
 import os
 import re
 import resource
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -593,6 +594,35 @@ def test_stdout_write_error_exits_5(argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: cannot write standard output: ")
     assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="needs sh")
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["bounds", "-p", "0.45,0.40"], 5),
+     (["bounds", "-p", "0.45,0.40", "--format", "json"], 5),
+     (["verify", "-p", "0.45,0.40"], 5),
+     (["phenomenon", "-p", "0.45,0.40", "--kept", "x1"], 5),
+     (["figure", "-p", "0.45,0.40", "--out", "FIG"], 0),
+     (["bounds", "-p", "0.4_5"], 2)],
+    ids=["table", "json", "verify", "phenomenon", "figure", "parse-error-first"],
+)
+def test_closed_stdout_is_a_write_error(tmp_path, argv, code):
+    # Python sets sys.stdout to None when fd 1 is closed at start.  A command
+    # that prints fails as on any stdout write error; figure prints nothing.
+    argv = [str(tmp_path / "fig.svg") if a == "FIG" else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "halfrare", *argv],
+        stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == 5:
+        assert proc.stderr.startswith("error: cannot write standard output: ")
+        assert len(proc.stderr.splitlines()) == 1
+    elif code == 0:
+        assert proc.stderr == "" and (tmp_path / "fig.svg").read_text().startswith("<svg")
 
 
 @pytest.mark.parametrize(

@@ -97,32 +97,38 @@ class TestHalfRareProjection:
 def phenomenon_maps(draw, n):
     kept = draw(st.integers(min_value=0, max_value=2**n - 1))
     order = tuple(draw(st.permutations(range(n))))
-    return PhenomenonMap(n, kept, order)
+    return PhenomenonMap(kept, order)
 
 
 def _image(pm, x):
     """perm(x xor C), one event at a time."""
-    w = x ^ pm.complemented
+    w = x ^ ((1 << pm.n) - 1) ^ pm.kept
     return sum(1 << j for j, i in enumerate(pm.order) if (w >> i) & 1)
 
 
 @given(st.integers(min_value=1, max_value=8), st.data())
 def test_half_tables_match_definition(n, data):
+    # n = 1 leaves the low half empty; an odd n splits unevenly.
     pm = data.draw(phenomenon_maps(n))
-    for h in range(n + 1):
-        lo, hi = pm.half_tables(h)
-        assert len(lo) == 2**h and len(hi) == 2 ** (n - h)
-        assert not any(a & b for a in lo for b in hi)
-        mask = (1 << h) - 1
-        assert [lo[x & mask] | hi[x >> h] for x in range(1 << n)] == [
-            _image(pm, x) for x in range(1 << n)
-        ]
+    assert pm.n == n
+    h = n // 2
+    lo, hi = pm.half_tables()
+    assert len(lo) == 2**h and len(hi) == 2 ** (n - h)
+    assert not any(a & b for a in lo for b in hi)
+    mask = (1 << h) - 1
+    assert [lo[x & mask] | hi[x >> h] for x in range(1 << n)] == [
+        _image(pm, x) for x in range(1 << n)
+    ]
 
 
-@pytest.mark.parametrize("h", [-1, 4])
-def test_half_tables_reject_a_split_outside_the_events(h):
+@pytest.mark.parametrize(
+    "kept, order",
+    [(0, (0, 0)), (0, (0, 2)), (-1, (0, 1)), (4, (0, 1))],
+    ids=["repeated-event", "event-outside", "kept-negative", "kept-past-the-events"],
+)
+def test_phenomenon_map_rejects_a_bad_order_or_kept_set(kept, order):
     with pytest.raises(IndexOutOfRange):
-        identity_phenomenon(3).half_tables(h)
+        PhenomenonMap(kept, order)
 
 
 class TestApplyPhenomenon:

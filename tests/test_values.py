@@ -52,8 +52,8 @@ CASES = [
     (CovarianceBounds, dict(events=E1, intervals=((F(-1, 4), F(1, 4)),)),
      CovarianceBounds(E1, ()),
      f"CovarianceBounds(events={R1}, intervals=((Fraction(-1, 4), Fraction(1, 4)),))"),
-    (PhenomenonMap, dict(n=2, kept=1, order=(1, 0)), PhenomenonMap(2, 3, (1, 0)),
-     "PhenomenonMap(n=2, kept=1, order=(1, 0))"),
+    (PhenomenonMap, dict(kept=1, order=(1, 0)), PhenomenonMap(3, (1, 0)),
+     "PhenomenonMap(kept=1, order=(1, 0))"),
     (SubsetRecord, REC, SubsetRecord(**{**REC, "lp_max": F(1)}), RREC),
     (VerificationReport, dict(marginals=M, records=(SubsetRecord(**REC),)),
      VerificationReport(M, ()), f"VerificationReport(marginals={RM}, records=({RREC},))"),
