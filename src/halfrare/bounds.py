@@ -62,11 +62,11 @@ def upper_bound_general(x: int, m: MarginalSet) -> Fraction:
 
 def _half_rare_levels(p: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """The half-rare closed forms for probabilities `p` in half-rare order:
-    the 3 lower values (at y = 0, at y = 1 and 0 elsewhere) and the N+1 upper
-    values (1 - p_1 at y = 0, else p at y's highest bit)."""
+    the 2 lower values that can be nonzero (at y = 0 and y = 1, 0 elsewhere)
+    and the N+1 upper values (1 - p_1 at y = 0, else p at y's highest bit)."""
     nums, den = over_common_denominator(p)
     first, rest = nums[0], sum(nums) - nums[0]
-    lows = (Fraction(max(0, den - first - rest), den), Fraction(max(0, first - rest), den), ZERO)
+    lows = (Fraction(max(0, den - first - rest), den), Fraction(max(0, first - rest), den))
     return lows, (Fraction(den - first, den), *p)
 
 
@@ -82,20 +82,18 @@ def boundary_distributions(
     the marginals to the half-rare case and read its closed forms at each
     subset's image y under the one renumbering.  Labels play no part.
 
-    The columns are filled one block per entry b of the high half table,
-    y = a | b over the low one.  The closed forms take N+4 values, so `level`
-    is applied to each once and every cell holds one of the results; a
-    block with b >= 2 has y >= 2, so all its lower cells hold the third."""
+    Upper cells read y = a | b from the two half tables.  Lower cells share
+    one 0 but at y = 0 and 1: X = C, the complemented events, and C plus the
+    new first event.  `level` maps each of the N+4 values once."""
     pm = half_rare_map(m.probs)
     lows, ups = _half_rare_levels(pm.map_probs(m.probs))
-    lows = [level(q) for q in lows]
-    ups = [level(q) for q in ups]
+    at_c, at_first, zero, *ups = [level(q) for q in (*lows, ZERO, *ups)]
     lo, hi = pm.half_tables()
-    lower, upper = [], []
-    for b in hi:
-        lower += [lows[2]] * len(lo) if b >= 2 else [lows[min(a | b, 2)] for a in lo]
-        upper += [ups[(a | b).bit_length()] for a in lo]
-    return BoundaryDistributions(m.events, tuple(lower), tuple(upper))
+    upper = tuple([ups[(a | b).bit_length()] for b in hi for a in lo])
+    lower = [zero] * len(upper)
+    c = ((1 << pm.n) - 1) ^ pm.kept
+    lower[c], lower[c ^ (1 << pm.order[0])] = at_c, at_first
+    return BoundaryDistributions(m.events, tuple(lower), upper)
 
 
 def _doublet_marginals(p_x: Fraction, p_y: Fraction) -> HalfRareMarginalSet:

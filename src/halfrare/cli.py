@@ -258,19 +258,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CliError(EXIT_PARSE, "--n, --half-rare and --seed need --random K with K >= 1")
     else:
         instances = [_load_marginals(args)]
-    reports = [_oracle.verify_bounds(m) for m in instances]
-    json.dump([_report_dict(r) for r in reports], sys.stdout, indent=2)
-    sys.stdout.write("\n")
-    for r in reports:
+    # json.dump(reports, indent=2)'s bytes, each report as soon as it is made.
+    error = None
+    for k, r in enumerate(map(_oracle.verify_bounds, instances)):
+        report = json.dumps(_report_dict(r), indent=2).replace("\n", "\n  ")
+        sys.stdout.write((",\n  " if k else "[\n  ") + report)
+        sys.stdout.flush()
         bad = r.first_mismatch()
-        if bad is not None:
-            n = r.marginals.n
-            raise CliError(
+        if error is None and bad is not None:
+            error = CliError(
                 EXIT_VERIFY,
-                f"sharpness mismatch at subset {indicator_string(bad.subset, n)}: "
+                f"sharpness mismatch at subset {indicator_string(bad.subset, r.marginals.n)}: "
                 f"closed-form [{bad.closed_form_lower}, {bad.closed_form_upper}] vs "
                 f"LP [{bad.lp_min}, {bad.lp_max}]",
             )
+    sys.stdout.write("\n]\n")
+    if error is not None:
+        raise error
     return EXIT_OK
 
 
@@ -287,7 +291,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 def cmd_phenomenon(args: argparse.Namespace) -> int:
     m = _load_marginals(args)
-    kept_labels = [t for t in args.kept.split(",") if t] if args.kept else []
+    kept_labels = [t for t in args.kept.split(",") if t]
     if len(set(kept_labels)) != len(kept_labels):
         raise CliError(EXIT_VALIDATION, f"repeated event label in --kept: {args.kept!r}")
     kept = 0

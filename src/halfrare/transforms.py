@@ -77,8 +77,8 @@ class PhenomenonMap(Value):
         return validate_marginals(make_event_set(labels), self.map_probs(m.probs))
 
 
-def identity_phenomenon(n: int, kept: int | None = None) -> PhenomenonMap:
-    return PhenomenonMap((1 << n) - 1 if kept is None else kept, tuple(range(n)))
+def identity_phenomenon(n: int, kept: int) -> PhenomenonMap:
+    return PhenomenonMap(kept, tuple(range(n)))
 
 
 def independent_epd(m: MarginalSet) -> TerraceDistribution:

@@ -23,6 +23,7 @@ from halfrare.core import (
     validate_marginals,
 )
 from halfrare.errors import IndexOutOfRange, NotHalfRare
+from halfrare.transforms import half_rare_map
 
 from conftest import (
     half_rare_sets,
@@ -173,6 +174,40 @@ class TestBoundaryDistributions:
         assert bd.lower == tuple(map(level, plain.lower))
         assert bd.upper == tuple(map(level, plain.upper))
         assert len({id(c) for c in bd.lower + bd.upper}) <= m.n + 4
+
+    @pytest.mark.parametrize("p", [0, F(1, 2), 1])
+    def test_lower_column_zero_pattern_at_n1(self, p):
+        self.check_lower_column_zero_pattern(marginals_from_values([p]))
+
+    @given(tied_marginal_sets())
+    def test_lower_column_zero_pattern(self, m):
+        self.check_lower_column_zero_pattern(m)
+
+    @staticmethod
+    def check_lower_column_zero_pattern(m):
+        # The half-rare lower bound is 0 but at y = 0 and y = 1, which the
+        # renumbering y = perm(X xor C) takes at X = C and X = C xor {the
+        # first event in the new order}.  A level that makes a new object per
+        # call tells the one shared 0 apart from those two cells.
+        made = []
+
+        def level(q):
+            made.append([q])
+            return made[-1]
+
+        bd = boundary_distributions(m, level)
+        assert len(made) == m.n + 4
+        pm = half_rare_map(m.probs)
+        c = ((1 << m.n) - 1) ^ pm.kept
+        special = (c, c ^ (1 << pm.order[0]))
+        # Outside the two cells, one object made from 0; the two are others.
+        rest = [cell for x, cell in enumerate(bd.lower) if x not in special]
+        at_c, at_first = (bd.lower[x] for x in special)
+        assert all(cell is rest[0] and cell == [0] for cell in rest)
+        assert at_c is not at_first
+        assert all(cell is not at_c and cell is not at_first for cell in rest)
+        assert [q for q, in bd.lower] == [lower_bound_general(x, m) for x in range(1 << m.n)]
+        assert [q for q, in bd.upper] == [upper_bound_general(x, m) for x in range(1 << m.n)]
 
     @given(marginal_sets())
     def test_sandwich_and_sum_envelope(self, m):

@@ -248,6 +248,22 @@ class TestVerifyCommand:
         assert "exceeds the LP cap 6" in err
         assert len(draws) == 1
 
+    def test_each_report_is_written_before_the_next_set_is_verified(self, monkeypatch):
+        out, seen = io.StringIO(), []
+        real = oracle.verify_bounds
+
+        def recording(m):
+            seen.append(out.getvalue())
+            return real(m)
+
+        monkeypatch.setattr(oracle, "verify_bounds", recording)
+        with contextlib.redirect_stdout(out):
+            assert main(["verify", "--random", "2", "--n", "2"]) == 0
+        assert seen[0] == ""
+        # The whole first report, and nothing of the second, is out already.
+        assert seen[1].startswith("[\n  {") and seen[1].endswith("\n  }")
+        assert json.loads(seen[1] + "\n]") == json.loads(out.getvalue())[:1]
+
     def test_sharpness_mismatch_exit_4(self, capsys, monkeypatch):
         real = oracle.boundary_distributions
 

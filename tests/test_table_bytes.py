@@ -1,7 +1,8 @@
-"""Byte pins for the table writers: the sha256 of the stdout of a fixed list
-of `bounds` and `phenomenon` invocations.  The digests were recorded from
-the writers before the bounds columns were filled from the two half
-renumbering tables, so any change to a byte of any table shows here."""
+"""Byte pins for the writers: the sha256 of the stdout of a fixed list of
+`bounds`, `phenomenon` and `verify` invocations.  The table digests were
+recorded from the writers before the bounds columns were filled from the two
+half renumbering tables, and the `verify` ones before each report was
+written as it was made, so any change to a byte of any output shows here."""
 
 import contextlib
 import hashlib
@@ -36,6 +37,13 @@ MODES = {
 #: Labels the writers must quote or escape: empty, a comma, a quote, non-ASCII.
 LABELLED = {"events": ["", "a,b", '"', "é", "x"],
             "probabilities": ["0.7", "1/2", "0.2", "0", "1/3"]}
+
+#: `verify` reports: one input set, and K random sets, general and half-rare.
+VERIFY = {
+    "verify-p": ["verify", "-p", "0.45,0.40"],
+    "verify-random": ["verify", "--random", "3", "--n", "3", "--seed", "7"],
+    "verify-random-half-rare": ["verify", "--random", "2", "--n", "2", "--half-rare"],
+}
 
 DIGESTS = {
     "n1-general/table": "6d54661bed5107ff8b474de8c5873619da3837a7c0eb8774072c132b2567428c",
@@ -138,6 +146,9 @@ DIGESTS = {
     "n5-labelled/csv-exact": "8c24bb3f2adfad618f1fb6b021626daec3f6cc16437f4eb9ec4dc4e3024a44b7",
     "n5-labelled/csv-digits0": "76780557e9bae004163b5ef0981894dba7f604e5291daded9f1d1f28b1cb4b78",
     "phenomenon-n7": "5333b79631067d2ac048ea82dbda9aa5f577c9c2b5ad044947e8d2668c5ed148",
+    "verify-p": "d8f35ad2a43aadfe275ceeda556052dd7704cb3b3a6c03f7ef6a80ec3a6dad27",
+    "verify-random": "6e2a751a090a113bcaee2aeb42b8cfd0e02f534c8d3d5e854d115497ba03c4d5",
+    "verify-random-half-rare": "d7bc339c0a28780a5377c4b0cacc791083d5773648869c0f8251b4141c8042f4",
 }
 
 
@@ -157,9 +168,10 @@ def invocations(document_path):
         yield f"n5-labelled/{mode}", ["bounds", "-i", document_path, *extra]
     yield "phenomenon-n7", ["phenomenon", "-p", "0.8,0.3,1/2,0,1,0.3,2/3",
                             "--kept", "x1,x3,x6"]
+    yield from VERIFY.items()
 
 
-@pytest.mark.parametrize("set_name", [*SETS, "n5-labelled", "phenomenon-n7"])
+@pytest.mark.parametrize("set_name", [*SETS, "n5-labelled", "phenomenon-n7", *VERIFY])
 def test_table_bytes_pinned(tmp_path, set_name):
     path = tmp_path / "labelled.json"
     path.write_text(json.dumps(LABELLED), encoding="utf-8")

@@ -63,7 +63,7 @@ class TestHalfRareProjection:
         pm = half_rare_map(m.probs)
         h = pm.map_marginals(m)
         assert h.probs == m.probs
-        assert pm == identity_phenomenon(2)
+        assert pm == identity_phenomenon(2, kept=0b11)
 
     def test_labels_follow_the_map(self):
         m = marginals_from_values(["0.7", "0.4"])
@@ -77,7 +77,7 @@ class TestHalfRareProjection:
         pm = half_rare_map(m.probs)
         h = pm.map_marginals(m)
         assert h.probs == m.probs
-        assert pm == identity_phenomenon(2)
+        assert pm == identity_phenomenon(2, kept=0b11)
 
     @given(marginal_sets())
     def test_output_is_half_rare(self, m):
@@ -90,7 +90,7 @@ class TestHalfRareProjection:
         pm2 = half_rare_map(h.probs)
         h2 = pm2.map_marginals(h)
         assert h2.probs == h.probs
-        assert pm2 == identity_phenomenon(h.n)
+        assert pm2 == identity_phenomenon(h.n, kept=(1 << h.n) - 1)
 
 
 @st.composite
@@ -134,7 +134,7 @@ def test_phenomenon_map_rejects_a_bad_order_or_kept_set(kept, order):
 class TestApplyPhenomenon:
     def test_identity(self):
         d = independent_epd(marginals_from_values(["0.45", "0.40"]))
-        assert apply_phenomenon(d.atoms, identity_phenomenon(2)) == d.atoms
+        assert apply_phenomenon(d.atoms, identity_phenomenon(2, kept=0b11)) == d.atoms
 
     def test_full_complement_reverses(self):
         d = independent_epd(marginals_from_values(["0.45", "0.40"]))
@@ -148,7 +148,7 @@ class TestApplyPhenomenon:
 
     def test_dimension_mismatch(self):
         with pytest.raises(LengthMismatch):
-            apply_phenomenon((F(1),), identity_phenomenon(2))
+            apply_phenomenon((F(1),), identity_phenomenon(2, kept=0b11))
 
     @given(st.integers(min_value=1, max_value=5), st.data())
     def test_bijection(self, n, data):
