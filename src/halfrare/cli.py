@@ -11,10 +11,10 @@ does not fail again.
 Bound tables are written in every format as one block of 2^(N//2) rows per
 write, built from the label tables of the low N//2 and the high N - N//2
 events, so no 2^N-entry label table exists.  Only the star column is
-formatted per row, from the integer numerators of `independent_epd`
-over their one denominator.  The lower and upper columns take at most N+4
-distinct values, and `boundary_distributions` is handed the cell formatter so
-that it formats each of them once.
+formatted per row, one block at a time, from the integer numerators of
+`independent_epd` over their one denominator.  The lower and upper columns
+take at most N+4 distinct values, and `boundary_distributions` is handed the
+formatter so that it formats each of them once.
 """
 
 from __future__ import annotations
@@ -112,54 +112,46 @@ def _load_marginals(args: argparse.Namespace) -> MarginalSet:
     return validate_marginals(events, probs)
 
 
-def _fmt(args: argparse.Namespace) -> Callable[[int, int], str]:
-    """The cell formatter: numerator, denominator -> text."""
+def _fmt(args: argparse.Namespace) -> Callable[[Sequence[int], int], list[str]]:
+    """The column formatter: numerators, their shared denominator -> texts."""
     if args.exact:
         return format_exact
     digits = DEFAULT_DIGITS if args.digits is None else args.digits
-    return lambda num, den: format_decimal(num, den, digits)
+    return lambda nums, den: format_decimal(nums, den, digits)
 
 
-def _half_table(labels: Sequence[str], sep: str) -> list[tuple[str, str]]:
-    """(indicator string, labels in X joined by `sep`) for every subset X of
-    `labels`, in ascending bitmask order, by doubling: one event at a time,
+def _half_table(labels: Sequence[str], sep: str) -> tuple[list[str], list[str]]:
+    """The indicator strings, and the labels in X joined by `sep`, of every subset
+    X of `labels` in ascending bitmask order, by doubling: one event at a time,
     its column gets "0" or "1" and its label joins every nonempty subset."""
     words, joined = [""], [""]
     for lab in labels:
         words = [w + bit for bit in "01" for w in words]
         # By subset, not by string: a label may be "".
         joined += [j + sep + lab if x else lab for x, j in enumerate(joined)]
-    return list(zip(words, joined))
+    return words, joined
 
 
 def _bound_rows(
-    m: MarginalSet, fmt: Callable[[int, int], str], labels: Sequence[str], sep: str
-) -> Iterator[list[tuple[str, str, str, str, str]]]:
-    """The rows (indicator, labels joined by `sep`, lower, star, upper) of every
-    subset in ascending bitmask order, in blocks: one block of 2^h rows for
-    each subset of the high N - h events, h = N // 2.  Each row is put
-    together from the tables of the two halves, 2 * 2^(N/2) entries, not 2^N.
-    `labels` names the events as the writer prints them."""
-    bd = _bounds.boundary_distributions(m, lambda q: fmt(q.numerator, q.denominator))
+    m: MarginalSet, fmt: Callable[[Sequence[int], int], list[str]], labels: Sequence[str], sep: str
+) -> Iterator[tuple[str, str, Iterator[tuple[str, str, str, str, str]]]]:
+    """Every subset's row in ascending bitmask order, in one block per subset
+    of the high N - h events, h = N // 2: its indicator string, its label tail
+    and its 2^h rows (low indicator string, label head, lower, star, upper).
+    A row's subset is the low string then the block's, its labels the head
+    then the tail; `labels` names the events as the writer prints them."""
+    bd = _bounds.boundary_distributions(m, lambda q: fmt((q.numerator,), q.denominator)[0])
     star = _transforms.independent_epd(m)
     lower, nums, den, upper = bd.lower, star.numerators, star.den, bd.upper
     h = len(labels) // 2
-    low = _half_table(labels[:h], sep)
-    size = len(low)
-    for x_high, (s_high, labs_high) in enumerate(_half_table(labels[h:], sep)):
+    low_words, low_labels = _half_table(labels[:h], sep)
+    # A head meets a nonempty tail with `sep`, except the empty set's head.
+    heads = ["", *(labs + sep for labs in low_labels[1:])]
+    size = len(low_words)
+    for x_high, (word, tail) in enumerate(zip(*_half_table(labels[h:], sep))):
         cells = slice(x_high * size, (x_high + 1) * size)
-        yield [
-            (
-                s_low + s_high,
-                # Both subsets, not both strings: a label may be "".
-                labs_low + sep + labs_high if x_low and x_high else labs_low + labs_high,
-                lo,
-                fmt(num, den),
-                up,
-            )
-            for (x_low, (s_low, labs_low)), lo, num, up
-            in zip(enumerate(low), lower[cells], nums[cells], upper[cells])
-        ]
+        yield word, tail, zip(low_words, heads if x_high else low_labels,
+                              lower[cells], fmt(nums[cells], den), upper[cells])
 
 
 def _csv_field(text: str) -> str:
@@ -178,36 +170,36 @@ def _emit_rows(m: MarginalSet, args: argparse.Namespace, out) -> None:
         # The bytes of json.dump({"N": n, "rows": [...]}, indent=2), written
         # block by block; labels are escaped once, by the C encoder.
         escaped = [json.dumps(lab) for lab in m.events.labels]
-        out.write(f'{{\n  "N": {m.n},\n  "rows": [')
-        sep = "\n"
-        for block in _bound_rows(m, fmt, escaped, _JSON_ITEM_SEP):
-            out.write(sep + ",\n".join(
-                f'    {{\n      "subset": "{s}",\n      "labels": {items},\n'
-                f'      "lower": "{lower}",\n      "star": "{star}",\n'
+        out.write(f'{{\n  "N": {m.n},\n  "rows": [\n')
+        for x_high, (word, tail, rows) in enumerate(_bound_rows(m, fmt, escaped, _JSON_ITEM_SEP)):
+            text = ",\n".join(
+                f'    {{\n      "subset": "{w}{word}",\n      "labels": [\n        {head}{tail}\n'
+                f'      ],\n      "lower": "{lower}",\n      "star": "{star}",\n'
                 f'      "upper": "{upper}"\n    }}'
-                for s, labs, lower, star, upper in block
-                # An escaped label is never "", so `labs` is empty only for
-                # the empty set.
-                for items in (f"[\n        {labs}\n      ]" if labs else "[]",)
-            ))
-            sep = ",\n"
+                for w, head, lower, star, upper in rows
+            )
+            # An escaped label is never "", so only the empty set, the first
+            # row, has no label items.
+            out.write(",\n" + text if x_high else text.replace("[\n        \n      ]", "[]", 1))
         out.write("\n  ]\n}\n")
     elif args.format == "csv":
         out.write("subset,labels,lower,star,upper\n")
-        for block in _bound_rows(m, fmt, m.events.labels, "+"):
+        # No label field needs quotes unless some label holds a comma or a quote.
+        plain = not any("," in lab or '"' in lab for lab in m.events.labels)
+        for word, tail, rows in _bound_rows(m, fmt, m.events.labels, "+"):
             out.write("".join(
-                f"{s},{_csv_field(labs)},{lower},{star},{upper}\n"
-                for s, labs, lower, star, upper in block
+                f"{w}{word},{head}{tail},{lower},{star},{upper}\n" if plain
+                else f"{w}{word},{_csv_field(head + tail)},{lower},{star},{upper}\n"
+                for w, head, lower, star, upper in rows
             ))
     else:
         # The full set's label string is the longest one.
         width = max(12, len("+".join(m.events.labels)) + 2)
-        s_width = m.n + 2
-        out.write(f"{'subset':<{s_width}} {'labels':<{width}} {'lower':>12} {'star':>12} {'upper':>12}\n")
-        for block in _bound_rows(m, fmt, m.events.labels, "+"):
+        out.write(f"{'subset':<{m.n + 2}} {'labels':<{width}} {'lower':>12} {'star':>12} {'upper':>12}\n")
+        for word, tail, rows in _bound_rows(m, fmt, m.events.labels, "+"):
             out.write("".join(
-                f"{s:<{s_width}} {labs:<{width}} {lower:>12} {star:>12} {upper:>12}\n"
-                for s, labs, lower, star, upper in block
+                f"{w}{word}   {head}{tail:<{width - len(head)}} {lower:>12} {star:>12} {upper:>12}\n"
+                for w, head, lower, star, upper in rows
             ))
 
 
@@ -221,10 +213,10 @@ def _report_dict(report: _oracle.VerificationReport) -> dict:
     n = report.marginals.n
 
     def exact(q: Fraction) -> str:
-        return format_exact(q.numerator, q.denominator)
+        return format_exact((q.numerator,), q.denominator)[0]
 
     def atoms(w: TerraceDistribution) -> list[str]:
-        return [format_exact(a, w.den) for a in w.numerators]
+        return format_exact(w.numerators, w.den)
 
     return {
         "N": n,
@@ -306,14 +298,14 @@ def cmd_phenomenon(args: argparse.Namespace) -> int:
     fmt = _fmt(args)
     out = sys.stdout
     out.write("marginals: " + ", ".join(
-        f"{lab}={fmt(p.numerator, p.denominator)}"
+        f"{lab}={fmt((p.numerator,), p.denominator)[0]}"
         for lab, p in zip(transformed.events.labels, transformed.probs)
     ) + "\n")
     out.write("subset labels lower star upper\n")
-    for block in _bound_rows(transformed, fmt, transformed.events.labels, "+"):
+    for word, tail, rows in _bound_rows(transformed, fmt, transformed.events.labels, "+"):
         out.write("".join(
-            f"{s} {labs or '-'} {lower} {star} {upper}\n"
-            for s, labs, lower, star, upper in block
+            f"{w}{word} {head + tail or '-'} {lower} {star} {upper}\n"
+            for w, head, lower, star, upper in rows
         ))
     return EXIT_OK
 

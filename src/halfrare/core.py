@@ -272,22 +272,29 @@ class TerraceDistribution(Value):
         )
 
 
-def format_exact(num: int, den: int) -> str:
-    """num/den (den > 0) in lowest terms, as `str(Fraction(num, den))` prints
-    it: "9/20", "0", "1"."""
-    g = math.gcd(num, den)
-    return f"{num // g}/{den // g}" if den != g else str(num // g)
+def format_exact(nums: Sequence[int], den: int) -> list[str]:
+    """Each num/den (den > 0) in lowest terms, as `str(Fraction(num, den))`
+    prints it: "9/20", "0", "1"."""
+    gcd = math.gcd
+    return [str(num // g) if (g := gcd(num, den)) == den else f"{num // g}/{den // g}"
+            for num in nums]
 
 
-def format_decimal(num: int, den: int, digits: int = 6) -> str:
-    """num/den (den > 0) rounded half to even at `digits` decimal places, as
-    `round(Fraction(num, den) * 10**digits)` rounds, trailing zeros trimmed."""
+def format_decimal(nums: Sequence[int], den: int, digits: int = 6) -> list[str]:
+    """Each num/den (den > 0) rounded half to even at `digits` decimal places,
+    as `round(Fraction(num, den) * 10**digits)` rounds, trailing zeros trimmed."""
     scale = 10**digits
-    scaled, rest = divmod(num * scale, den)
-    if 2 * rest > den or (2 * rest == den and scaled & 1):
-        scaled += 1
-    sign = "-" if scaled < 0 else ""
-    whole, frac = divmod(abs(scaled), scale)
-    if not frac:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{str(frac).rjust(digits, '0').rstrip('0')}"
+    twice_scale, twice_den = 2 * scale, 2 * den
+    texts = []
+    for num in nums:
+        # Half up; a tie leaves no remainder and goes down to the even q.
+        q, rest = divmod(twice_scale * num + den, twice_den)
+        if not rest and q & 1:
+            q -= 1
+        if 0 < q < scale:
+            texts.append("0." + str(scale + q)[1:].rstrip("0"))
+        else:
+            whole, frac = divmod(abs(q), scale)
+            texts.append(f"{'-' if q < 0 else ''}{whole}"
+                         + ("." + str(scale + frac)[1:].rstrip("0") if frac else ""))
+    return texts

@@ -27,7 +27,8 @@ class LengthMismatch(EventologyError):
 
 class ProbabilityOutOfRange(EventologyError):
     def __init__(self, index, value):
-        super().__init__(f"probability #{index} = {value} is outside [0, 1]")
+        text = str(value)  # cut to 24 characters, as a parse error quotes its input
+        super().__init__(f"probability #{index} = {text[:24]}{'...' * (len(text) > 24)} is outside [0, 1]")
         self.index = index
         self.value = value
 

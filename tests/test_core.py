@@ -120,14 +120,20 @@ class TestSubsets:
         assert indicator_string(2, 3) == "010"
 
     @staticmethod
-    def blocks(labels, sep):
+    def rows(labels, sep):
+        """The block sizes, and each row's (indicator, labels) rebuilt from
+        its block's pieces: low string then high, head then tail."""
         m = marginals_from_values(["1/3"] * len(labels))
-        return list(_bound_rows(m, format_exact, labels, sep))
+        blocks = [(word, tail, list(rows))
+                  for word, tail, rows in _bound_rows(m, format_exact, labels, sep)]
+        sizes = [len(rows) for _, _, rows in blocks]
+        return sizes, [(w + word, head + tail)
+                       for word, tail, rows in blocks for w, head, *_ in rows]
 
     def test_labels(self):
         for sep in ("+", _JSON_ITEM_SEP):
-            rows = [row for block in self.blocks(("a", "b", "c"), sep) for row in block]
-            assert rows[5][:2] == ("101", f"a{sep}c")
+            _, rows = self.rows(("a", "b", "c"), sep)
+            assert rows[5] == ("101", f"a{sep}c")
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_subsets_match_definition(self, n):
@@ -142,9 +148,9 @@ class TestSubsets:
                     )
                     for x in range(1 << n)
                 ]
-                blocks = self.blocks(labels, sep)
-                assert [len(block) for block in blocks] == [1 << n // 2] * (1 << n - n // 2)
-                assert [row[:2] for block in blocks for row in block] == expected
+                sizes, rows = self.rows(labels, sep)
+                assert sizes == [1 << n // 2] * (1 << n - n // 2)
+                assert rows == expected
 
     @given(st.integers(min_value=1, max_value=12), st.data())
     def test_indicator_round_trip(self, n, data):
@@ -173,25 +179,27 @@ class TestRationals:
     def test_decimal_round_trip(self, mantissa, places):
         text = f"{mantissa // 10**places}.{mantissa % 10**places:0{places}d}"
         q = parse_probability(text)
-        assert parse_probability(format_decimal(q.numerator, q.denominator, places)) == q
+        assert parse_probability(format_decimal([q.numerator], q.denominator, places)[0]) == q
 
     def test_format_decimal_trims(self):
-        assert format_decimal(1, 20) == "0.05"
-        assert format_decimal(0, 1) == "0"
-        assert format_decimal(1, 1) == "1"
-        assert format_decimal(1, 3, 6) == "0.333333"
-        assert format_decimal(3, 6) == "0.5"  # an unreduced fraction
+        assert format_decimal([1], 20) == ["0.05"]
+        assert format_decimal([0], 1) == ["0"]
+        assert format_decimal([1], 1) == ["1"]
+        assert format_decimal([1], 3, 6) == ["0.333333"]
+        assert format_decimal([3], 6) == ["0.5"]  # an unreduced fraction
+        assert format_decimal([], 7) == []
 
     def test_format_exact(self):
-        assert format_exact(9, 20) == "9/20"
-        assert format_exact(0, 1) == "0"
-        assert format_exact(0, 7) == "0"
-        assert format_exact(6, 6) == "1"
-        assert format_exact(-18, 40) == "-9/20"
+        assert format_exact([9], 20) == ["9/20"]
+        assert format_exact([0], 1) == ["0"]
+        assert format_exact([0], 7) == ["0"]
+        assert format_exact([6], 6) == ["1"]
+        assert format_exact([-18], 40) == ["-9/20"]
+        assert format_exact([], 7) == []
 
-    @given(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
-    def test_format_exact_reduces_as_fraction_prints(self, num, den):
-        assert format_exact(num, den) == str(Fraction(num, den))
+    @given(st.lists(st.integers(-(10**30), 10**30), max_size=8), st.integers(1, 10**30))
+    def test_format_exact_reduces_as_fraction_prints(self, nums, den):
+        assert format_exact(nums, den) == [str(Fraction(num, den)) for num in nums]
 
 
 def reference_format_decimal(q: Fraction, digits: int) -> str:
@@ -202,36 +210,56 @@ def reference_format_decimal(q: Fraction, digits: int) -> str:
     return f"{sign}{whole}.{frac:0{digits}d}".rstrip("0").rstrip(".")
 
 
-class TestIntegerRounding:
-    @given(st.integers(-(10**30), 10**30), st.integers(1, 10**30), st.integers(0, 40))
-    def test_random_fractions(self, num, den, digits):
-        q = Fraction(num, den)
-        assert format_decimal(num, den, digits) == reference_format_decimal(q, digits)
+#: Decimal places: every count up to 40, and the --digits cap.
+DIGITS = st.one_of(st.integers(0, 40), st.just(640))
 
-    @given(st.integers(-(10**12), 10**12), st.integers(0, 12), st.integers(1, 5))
-    def test_exact_ties(self, whole, digits, scale):
-        # (2w + 1) / 2 at `digits` places is a tie; w even and odd both occur.
-        num, den = (2 * whole + 1) * scale, 2 * 10**digits * scale
-        assert format_decimal(num, den, digits) == reference_format_decimal(
-            Fraction(num, den), digits
-        )
+
+@st.composite
+def tie_columns(draw):
+    """(nums, den, digits): numerators over one denominator den = 2 * 10^d * b,
+    so that 10^d * num / den is q exactly for num = 2bq and the tie k + 1/2
+    for num = (2k + 1) * b.  The column mixes negatives, 0, den, ties with k
+    even and odd, and values at and next to q = 0, 1, 10^d - 1 and 10^d."""
+    digits = draw(DIGITS)
+    b = draw(st.integers(1, 10**12))
+    scale, den = 10**digits, 2 * 10**digits * b
+    item = st.one_of(
+        st.sampled_from([0, den, -den]),
+        st.integers(-(10**3), 10**3).map(lambda k: (2 * k + 1) * b),
+        st.tuples(st.sampled_from([0, 1, scale - 1, scale]), st.integers(-1, 1)).map(
+            lambda t: 2 * b * t[0] + t[1]),
+        st.integers(-2 * den, 2 * den),
+    )
+    return draw(st.lists(item, min_size=1, max_size=12)), den, digits
+
+
+class TestIntegerRounding:
+    @given(st.lists(st.integers(-(10**30), 10**30), max_size=8), st.integers(1, 10**30), DIGITS)
+    def test_random_fractions(self, nums, den, digits):
+        assert format_decimal(nums, den, digits) == [
+            reference_format_decimal(Fraction(num, den), digits) for num in nums
+        ]
+
+    @given(tie_columns())
+    def test_exact_ties(self, column):
+        nums, den, digits = column
+        assert format_decimal(nums, den, digits) == [
+            reference_format_decimal(Fraction(num, den), digits) for num in nums
+        ]
+        assert format_exact(nums, den) == [str(Fraction(num, den)) for num in nums]
 
     def test_ties_of_both_parities(self):
-        assert format_decimal(1, 2, 0) == "0"
-        assert format_decimal(3, 2, 0) == "2"
-        assert format_decimal(-1, 2, 0) == "0"
-        assert format_decimal(-3, 2, 0) == "-2"
-        assert format_decimal(25, 1000, 2) == "0.02"
-        assert format_decimal(35, 1000, 2) == "0.04"
+        assert format_decimal([1, 3, -1, -3], 2, 0) == ["0", "2", "0", "-2"]
+        assert format_decimal([25, 35], 1000, 2) == ["0.02", "0.04"]
 
     def test_every_digit_count(self):
         rng = random.Random(640)
         for digits in range(641):
             den = rng.randint(1, 10**rng.randint(1, 60))
-            for num in (rng.randint(0, den), den, 0, den // 2, (den + 1) // 2):
-                assert format_decimal(num, den, digits) == reference_format_decimal(
-                    Fraction(num, den), digits
-                )
+            nums = [rng.randint(0, den), den, 0, den // 2, (den + 1) // 2]
+            assert format_decimal(nums, den, digits) == [
+                reference_format_decimal(Fraction(num, den), digits) for num in nums
+            ]
 
 
 class TestTerraceDistribution:

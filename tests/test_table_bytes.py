@@ -1,8 +1,9 @@
 """Byte pins for the writers: the sha256 of the stdout of a fixed list of
 `bounds`, `phenomenon` and `verify` invocations.  The table digests were
 recorded from the writers before the bounds columns were filled from the two
-half renumbering tables, and the `verify` ones before each report was
-written as it was made, so any change to a byte of any output shows here."""
+half renumbering tables, the `--digits 640` ones before the formatters took a
+whole column, and the `verify` ones before each report was written as it was
+made, so any change to a byte of any output shows here."""
 
 import contextlib
 import hashlib
@@ -31,7 +32,8 @@ SETS = {
 MODES = {
     f"{fmt}{name}": ["--format", fmt, *extra]
     for fmt in ("table", "json", "csv")
-    for name, extra in (("", []), ("-exact", ["--exact"]), ("-digits0", ["--digits", "0"]))
+    for name, extra in (("", []), ("-exact", ["--exact"]), ("-digits0", ["--digits", "0"]),
+                        ("-digits640", ["--digits", "640"]))
 }
 
 #: Labels the writers must quote or escape: empty, a comma, a quote, non-ASCII.
@@ -49,102 +51,135 @@ DIGESTS = {
     "n1-general/table": "6d54661bed5107ff8b474de8c5873619da3837a7c0eb8774072c132b2567428c",
     "n1-general/table-exact": "e602143d969d3b0ca80b19aecfce6a9c7f177ba5c2a3d0c03a462b1d88a24770",
     "n1-general/table-digits0": "079b781fc86b4a15f5c3c000f0bfe3544655226ba5f4242152fdcef6d0dad469",
+    "n1-general/table-digits640": "6d54661bed5107ff8b474de8c5873619da3837a7c0eb8774072c132b2567428c",
     "n1-general/json": "c033f88a41baab3e9704b5369b99ac0ff5200736e9ee157d04cf75601259da34",
     "n1-general/json-exact": "4c7d3ac5656ee8de2531d5089ae0ff252970e965647b40150b8a966dfaa94948",
     "n1-general/json-digits0": "0a5c8c67626a279c8f059e85e859a43f6a2209b7a84607556a984921d4804b64",
+    "n1-general/json-digits640": "c033f88a41baab3e9704b5369b99ac0ff5200736e9ee157d04cf75601259da34",
     "n1-general/csv": "d530c838a89eb48c86691fe0cbed71e903c009660aeb3299d5640a0543435867",
     "n1-general/csv-exact": "b57a783deaf93365b52e94f0db69d2211e80b6afaa71021d71c88996d5dda8c4",
     "n1-general/csv-digits0": "6af205dd0c538266def8794ca3cdf800845d2a0843b52a91df55a1340d428b48",
+    "n1-general/csv-digits640": "d530c838a89eb48c86691fe0cbed71e903c009660aeb3299d5640a0543435867",
     "n1-half-rare/table": "41e450c122694b1ff7344aae1135e55f9a26bfb3c08e31b5d9adb45cba66ad8b",
     "n1-half-rare/table-exact": "dcd5c603e92cbdca7d18b37e53b48ee5510a75fa960b93c06b3674f9ad186245",
     "n1-half-rare/table-digits0": "dffae0ffe110de504e9dc500a13733df59ee94ecc554abcd550cb8b4bfec53a0",
+    "n1-half-rare/table-digits640": "41e450c122694b1ff7344aae1135e55f9a26bfb3c08e31b5d9adb45cba66ad8b",
     "n1-half-rare/json": "2cec384192df472cbeb66ed91e68a478b4c3a4611aeba80d857ed699910f94f2",
     "n1-half-rare/json-exact": "eabe887fc720d7fe1b6a6ff03bf05bef6f14b69e11b7a8ea67fd1163836d0827",
     "n1-half-rare/json-digits0": "f570eb36ffcc60ffbd119c43c09403ccb8b76292ab330a21f4bbf1b885bbd9e5",
+    "n1-half-rare/json-digits640": "2cec384192df472cbeb66ed91e68a478b4c3a4611aeba80d857ed699910f94f2",
     "n1-half-rare/csv": "16d59515e47080ba46716b378d92093eea63b78894ef9ff72461f7f99c19068d",
     "n1-half-rare/csv-exact": "4b790019d468779b91c7b222de95fdb11cc5e956cb6f305acacc1ec1d79eb0f6",
     "n1-half-rare/csv-digits0": "7e2ce1e63630cb9283cc30ef4e6c898729452d2748d32fc613f78a8c2cdd87d4",
+    "n1-half-rare/csv-digits640": "16d59515e47080ba46716b378d92093eea63b78894ef9ff72461f7f99c19068d",
     "n2-general/table": "508e1eb2a2fb290f115ecf43291f006fabc7f486c30ec70a4f05e502431dfe65",
     "n2-general/table-exact": "508e1eb2a2fb290f115ecf43291f006fabc7f486c30ec70a4f05e502431dfe65",
     "n2-general/table-digits0": "508e1eb2a2fb290f115ecf43291f006fabc7f486c30ec70a4f05e502431dfe65",
+    "n2-general/table-digits640": "508e1eb2a2fb290f115ecf43291f006fabc7f486c30ec70a4f05e502431dfe65",
     "n2-general/json": "e373f7e22a3389eecd2bb3878cc808b02bef156a30f3f37d4dad16bbbe56eb15",
     "n2-general/json-exact": "e373f7e22a3389eecd2bb3878cc808b02bef156a30f3f37d4dad16bbbe56eb15",
     "n2-general/json-digits0": "e373f7e22a3389eecd2bb3878cc808b02bef156a30f3f37d4dad16bbbe56eb15",
+    "n2-general/json-digits640": "e373f7e22a3389eecd2bb3878cc808b02bef156a30f3f37d4dad16bbbe56eb15",
     "n2-general/csv": "4fb4c4f24ed400ee6e68b23b2dd5f041323fb0a21a22534279bae04541c523ab",
     "n2-general/csv-exact": "4fb4c4f24ed400ee6e68b23b2dd5f041323fb0a21a22534279bae04541c523ab",
     "n2-general/csv-digits0": "4fb4c4f24ed400ee6e68b23b2dd5f041323fb0a21a22534279bae04541c523ab",
+    "n2-general/csv-digits640": "4fb4c4f24ed400ee6e68b23b2dd5f041323fb0a21a22534279bae04541c523ab",
     "n2-half-rare/table": "c132136279cada1d30458cfb6a2f5d43e13f7ee5de6db19d5ea6cb6f46573fdc",
     "n2-half-rare/table-exact": "f9e52bb7d583ec2b8e4543a41dd02148531f44b93f569bacc0c685d0126d9754",
     "n2-half-rare/table-digits0": "c47056c90adadacc11e86517ce566876955a6f04a2082a3e40d4fce34ef59a86",
+    "n2-half-rare/table-digits640": "c132136279cada1d30458cfb6a2f5d43e13f7ee5de6db19d5ea6cb6f46573fdc",
     "n2-half-rare/json": "dcd23b77364def394bedcf5cd532a8cb1866cc257b72152f2c68f20100622251",
     "n2-half-rare/json-exact": "d4d5c851ba578c51c065753abac894e6e7dd159cdabd9fc630923b1839e31fbf",
     "n2-half-rare/json-digits0": "f95d8b7207529ded2a35e1b9f0e796458ff7813d8e8b177b0a1879a47db856b3",
+    "n2-half-rare/json-digits640": "dcd23b77364def394bedcf5cd532a8cb1866cc257b72152f2c68f20100622251",
     "n2-half-rare/csv": "67b187cf3eb6de1ed42a89d5ad1ced649422d96a162712b15a0cadefa9d710b6",
     "n2-half-rare/csv-exact": "61dbf27ebab9fb43739d75f71bd09d49ac8284f434bd100fd5622689b6eeffb7",
     "n2-half-rare/csv-digits0": "c50277fdaff701c6af25ccbc7530f7b3a27eb5677ec823be87b7d91c8251e439",
+    "n2-half-rare/csv-digits640": "67b187cf3eb6de1ed42a89d5ad1ced649422d96a162712b15a0cadefa9d710b6",
     "n3-general/table": "1bb9a36ee0d63d9016bbbaaafabb221378ccda7d2e57bd9147d700c94f5068f8",
     "n3-general/table-exact": "23e7082db82e26626c6a8af70210b47177c8addcfc40a2ecd245f5212f21439e",
     "n3-general/table-digits0": "d3af9f5416d59c8ebc21caa2e4dc95b89fcb66cc8c7c56b301a9d2290da702fd",
+    "n3-general/table-digits640": "1bb9a36ee0d63d9016bbbaaafabb221378ccda7d2e57bd9147d700c94f5068f8",
     "n3-general/json": "f75e9d63e5d1a1336f9b3b115a50a355564f051952ddb486d7273228ba9f1a3a",
     "n3-general/json-exact": "c7e85056b4db54e22a3049e270148a944c696e859196a042c8f020e4432be1ff",
     "n3-general/json-digits0": "ed818eb2aa566df5b053847c8e7110f069f3b9393d51a584b04cd679ff33df29",
+    "n3-general/json-digits640": "f75e9d63e5d1a1336f9b3b115a50a355564f051952ddb486d7273228ba9f1a3a",
     "n3-general/csv": "fe5b313a2487c5210350f86c597da1e51be27688e3e3670ce1676bd6aac5d332",
     "n3-general/csv-exact": "385fab3766c978370ac9a2152fe9d7b0ef3d9315839c2bef9b8f81dba6217b07",
     "n3-general/csv-digits0": "2d2c11cfd02d2abd15cd95ea5caf9bf0d9e1cee28c2be3052dec79c03b37a3d7",
+    "n3-general/csv-digits640": "fe5b313a2487c5210350f86c597da1e51be27688e3e3670ce1676bd6aac5d332",
     "n3-half-rare/table": "1d146502de4b78cb4e610918bd18f885f6982cde381f83ac198a9b6df0759367",
     "n3-half-rare/table-exact": "c84c4b77fdae1101f3c75d184b3c55af8e2ac5cc9ac978b42ecf29f6184f2c5c",
     "n3-half-rare/table-digits0": "8cdb9537a4e53bc41c2a886cec968fed82ecc743a4b05c0d219b480f89b721a2",
+    "n3-half-rare/table-digits640": "a5247bfce0184a885887ba4a4e4239db571d76e3414277f88625c1a2f41caedf",
     "n3-half-rare/json": "c6617bff58f361f81291b129ae629f98b02fe44f314a2b68fe1161e267df682a",
     "n3-half-rare/json-exact": "a52e94bcbdb3914fa0a42786b53b3d22e076e01685fd35c98d67896beb8c33e7",
     "n3-half-rare/json-digits0": "32f2443d6f5b7f06860d3f7eb5170fdb433b9ecd727f0bbeeaa2689e66af3889",
+    "n3-half-rare/json-digits640": "a86c83ee36e2549bb5d328b708c90c9b3954d42125472826adb535ba10eda2d4",
     "n3-half-rare/csv": "d11bc5235043707804cb5258332bf4403b8e9c173603027d063f47b934015db1",
     "n3-half-rare/csv-exact": "565fe58e62267722322be5ef5ef6f2a6bcc855ed3a8c0a3d0102aedf672e3e2b",
     "n3-half-rare/csv-digits0": "3bf7241f88bd6d04d7a684ca63020f5a0eb97438917b7874b4df59743a360914",
+    "n3-half-rare/csv-digits640": "6fd2a87671e92e174b77a83a15d40cedcc3ba9c96718b49ae37c9d1d17ba9e66",
     "n10-general/table": "9dcf4e1b26b759a5c8174248af12888a9815a40bdbdeb4d8fd3af9c9cf8ea382",
     "n10-general/table-exact": "3ef5fedfc1c6a30f64b7b6cd877c9d163a5d5c462d0273555ffc605e206d0ff2",
     "n10-general/table-digits0": "47ca33f67bf5b627d01174f241da66183dc3bdf64d0e254d5c52f0e69742ec2e",
+    "n10-general/table-digits640": "7939bfa7ca55dbd5d0adc12ad11c303ffa8093fee9b5a28cb22eb0792fe601df",
     "n10-general/json": "6a8cfbedf41fc666152920ce99d287d517ceef5c0c520abf63fc9908b1d87f4e",
     "n10-general/json-exact": "607a681efc3880e46ea09d75cdbc34f504d48a965f13b56999b2ede387cd157b",
     "n10-general/json-digits0": "09306994116ff291c6639bf97212ebaa6c8376550a01670e84daf5d041fc4c37",
+    "n10-general/json-digits640": "98447de24acd25ef6a0dd598e131f8c2679a1c1b0d08ce53fb717f9301b82c4c",
     "n10-general/csv": "ba42a1092673879fc4880c7b5f8126a95eb4a2dbcf7cea4cff2537ed01f0a871",
     "n10-general/csv-exact": "c256439628dcd81d40b79846435f481ba1e4fb781d491e7c563c33e274041ee1",
     "n10-general/csv-digits0": "d965296037ecd05bc0830251748773c84de31352ce50918b1d97cd22476ad627",
+    "n10-general/csv-digits640": "529f4892c030a285c1b95573d15a1538f9f23e16d57cfa3f249d8638bf52543d",
     "n10-half-rare/table": "d8fef5cf8dfe1fe0bb8232d244509518597d9f6f42e75dd9918c7118b0e1fcf0",
     "n10-half-rare/table-exact": "7e4d164f7de196ebe9eafe4cf1296a2c767bf33689de60b16dfae96592ae3486",
     "n10-half-rare/table-digits0": "47ca33f67bf5b627d01174f241da66183dc3bdf64d0e254d5c52f0e69742ec2e",
+    "n10-half-rare/table-digits640": "8cb7680f14f75e8bdf92b794da80893030b67ae16d171cf2792867da184c2868",
     "n10-half-rare/json": "5b8254a45f897553963d02a3f0e9076a1a23b0c31f48a3282e039baf4c9b918a",
     "n10-half-rare/json-exact": "9d8088acd148e1ad9d6e5adb2977c6478007de9bb4bb445b188e275acc2936b3",
     "n10-half-rare/json-digits0": "09306994116ff291c6639bf97212ebaa6c8376550a01670e84daf5d041fc4c37",
+    "n10-half-rare/json-digits640": "d3deee3a88053d44517e203afbe52a866db55bf96e6805b0f779960921a2b8e0",
     "n10-half-rare/csv": "412cac194494001523049043ad22dc9971d7b49fe589be638fd4fa9bfb6ba734",
     "n10-half-rare/csv-exact": "6ed37b3b4d25e9792ead32ba3c8d70e745a8ab99fc0237486204113ccef5e3e1",
     "n10-half-rare/csv-digits0": "d965296037ecd05bc0830251748773c84de31352ce50918b1d97cd22476ad627",
+    "n10-half-rare/csv-digits640": "1b7b1637a7b39d0cf02e7f5c6ea1b3a8cfa3cde07761a5a0c15b57d99367f39d",
     "n11-general/table": "59ab533c11ee2a70df153970c37ecf0da4933edc59ee1ca087180ce61f3e49d7",
     "n11-general/table-exact": "6a777d8eaf99064a2759af75b33987ab375bdfb744ab2863f05951c3990496b7",
     "n11-general/table-digits0": "87892595f0306ea9f7d0b2672aea797741493bd49aa04cba9646505d76566909",
+    "n11-general/table-digits640": "41bbea01f042de65eb8b4dd4b433a054d91e2ba89fd1b91bf8cc03c90d29fe6a",
     "n11-general/json": "baf2df1442c11bf3f8c4b423ee753acf7384c4351ab01583ca361eeee9da5fac",
     "n11-general/json-exact": "4089ad302ade12147b317df40e84e7de5352a80abcf1ca46e42baab93eee3199",
     "n11-general/json-digits0": "585666ef43c4569072dd42dc957b19550dfd9cdbc464009cc196b90ee3480119",
+    "n11-general/json-digits640": "09f7b07f1dc24ff36f7f561c9566ea84b2d0975543b0eb6c3084c99a6576fcf2",
     "n11-general/csv": "c992b0b2bf1b519a66085c38ca24bafc6af5b2b0548dd74932aedd4d40e28e56",
     "n11-general/csv-exact": "552c4ff9e5d6001ca3c3e9780097ce366a62c6f502c374a35f136d723b2aa636",
     "n11-general/csv-digits0": "590c22ea70ab19be606050d72a038a049844353179d9cb65a490ef9027ec04f9",
+    "n11-general/csv-digits640": "89c8cc838b55cf000342ffb6e5812a2ec50a2b4a24a017f275f5e6ced33f64c9",
     "n11-half-rare/table": "7ecf27738bd765d6d4671d1705adfaaa8faeaa99737810b858361ea3b0652345",
     "n11-half-rare/table-exact": "82615cc92039bfeb6c4e7ae370e655c59697f0228ded6ad333b506f98914977f",
     "n11-half-rare/table-digits0": "87892595f0306ea9f7d0b2672aea797741493bd49aa04cba9646505d76566909",
+    "n11-half-rare/table-digits640": "eb1d299f58e9efd99ad99890c265df601ccbf66db0628e558357a69fcbcfe8f1",
     "n11-half-rare/json": "d0b7d8eb0e54c3f97f80a7673e5a7a2c9dd8d67f671dbfc6d404e5e0f7e24845",
     "n11-half-rare/json-exact": "881fe28b1d065846021bab85ab4c789b9ed5c4e3ca0f6b69faf771255d9d0e9a",
     "n11-half-rare/json-digits0": "585666ef43c4569072dd42dc957b19550dfd9cdbc464009cc196b90ee3480119",
+    "n11-half-rare/json-digits640": "3edfd3da65ddbd5dc6d522b4f964a256ae5c051809b35946b335185c4e5b9c97",
     "n11-half-rare/csv": "a64d675f0fd23690a0745a093afdefdf5967ba9ed1c221cc87eeba1830276ce0",
     "n11-half-rare/csv-exact": "98290930429da046c89fdabad70cac5851833289eb157198f79f32d40ebafd43",
     "n11-half-rare/csv-digits0": "590c22ea70ab19be606050d72a038a049844353179d9cb65a490ef9027ec04f9",
+    "n11-half-rare/csv-digits640": "74efec0bf66e0cdc9ff0398780550e978f52f7cb8750f06f54771ad74053d63f",
     "n5-labelled/table": "37a450109ecb3bac08a5e2b63819ac6ea2bb32dfd4803247cf8bc238939001c4",
     "n5-labelled/table-exact": "9bf3b08bec41179e44a64cf26c0dfee1163b439d9dbea3b6fdd89c482c83d632",
     "n5-labelled/table-digits0": "eb042458c89877002c60bb3492d1db57f275f0778c6f33101d060c5458d5dffd",
+    "n5-labelled/table-digits640": "5e430c8afe1525cf15f0d3ac013cc3e93a4cca80eb42f9f0d5038800d58c7067",
     "n5-labelled/json": "30dcbfffa453e9b2d622290bcae34a6bca2bd4cc612caa1e98dbec6ba12fe6c0",
     "n5-labelled/json-exact": "373a4fb8de24098fc363983edfbb47ae691ab22d0e08c6e201ce9433e029ef52",
     "n5-labelled/json-digits0": "20c316c14d9128ed95777579e72b8169727fedb09a7b44bb1c3dc1e6c07623bd",
+    "n5-labelled/json-digits640": "112688353e0f59d1f12882709682bd178514098bf86efc6873ea01245f5932aa",
     "n5-labelled/csv": "0faeffd079dbc15590dbea7ed35dfbfe3e1e067f6b117b22a59b21f579a1ba89",
     "n5-labelled/csv-exact": "8c24bb3f2adfad618f1fb6b021626daec3f6cc16437f4eb9ec4dc4e3024a44b7",
     "n5-labelled/csv-digits0": "76780557e9bae004163b5ef0981894dba7f604e5291daded9f1d1f28b1cb4b78",
+    "n5-labelled/csv-digits640": "c35a449316bdd837bdfc56f9261a9f2e4dbda13b0eb174743feb0d3b713d4260",
     "phenomenon-n7": "5333b79631067d2ac048ea82dbda9aa5f577c9c2b5ad044947e8d2668c5ed148",
     "verify-p": "d8f35ad2a43aadfe275ceeda556052dd7704cb3b3a6c03f7ef6a80ec3a6dad27",
     "verify-random": "6e2a751a090a113bcaee2aeb42b8cfd0e02f534c8d3d5e854d115497ba03c4d5",
