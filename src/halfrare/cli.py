@@ -184,12 +184,9 @@ def _emit_rows(m: MarginalSet, args: argparse.Namespace, out) -> None:
         out.write("\n  ]\n}\n")
     elif args.format == "csv":
         out.write("subset,labels,lower,star,upper\n")
-        # No label field needs quotes unless some label holds a comma or a quote.
-        plain = not any("," in lab or '"' in lab for lab in m.events.labels)
         for word, tail, rows in _bound_rows(m, fmt, m.events.labels, "+"):
             out.write("".join(
-                f"{w}{word},{head}{tail},{lower},{star},{upper}\n" if plain
-                else f"{w}{word},{_csv_field(head + tail)},{lower},{star},{upper}\n"
+                f"{w}{word},{_csv_field(head + tail)},{lower},{star},{upper}\n"
                 for w, head, lower, star, upper in rows
             ))
     else:

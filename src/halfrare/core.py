@@ -291,10 +291,7 @@ def format_decimal(nums: Sequence[int], den: int, digits: int = 6) -> list[str]:
         q, rest = divmod(twice_scale * num + den, twice_den)
         if not rest and q & 1:
             q -= 1
-        if 0 < q < scale:
-            texts.append("0." + str(scale + q)[1:].rstrip("0"))
-        else:
-            whole, frac = divmod(abs(q), scale)
-            texts.append(f"{'-' if q < 0 else ''}{whole}"
-                         + ("." + str(scale + frac)[1:].rstrip("0") if frac else ""))
+        whole, frac = divmod(abs(q), scale)
+        texts.append(f"{'-' if q < 0 else ''}{whole}"
+                     + ("." + str(scale + frac)[1:].rstrip("0") if frac else ""))
     return texts

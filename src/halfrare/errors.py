@@ -27,7 +27,7 @@ class LengthMismatch(EventologyError):
 
 class ProbabilityOutOfRange(EventologyError):
     def __init__(self, index, value):
-        text = str(value)  # cut to 24 characters, as a parse error quotes its input
+        text = str(value)  # at most 24 characters of it, so a 200-digit value stays short
         super().__init__(f"probability #{index} = {text[:24]}{'...' * (len(text) > 24)} is outside [0, 1]")
         self.index = index
         self.value = value

@@ -146,7 +146,7 @@ class TestBoundsCommand:
         probs = "0.45,0.7,1/3,1/3,0,1,0.5,2/3,0.9,0.2"
         code, out, _ = run(capsys, "bounds", "-p", probs, "--format", "csv", *extra)
         assert code == 0 and len(out.splitlines()) == 1 + 2**10
-        # One star cell per row, plus 3 lower and N+1 upper levels.
+        # One star cell per row, plus the N+4 `level` calls.
         assert sum(len(nums) for nums, *_ in calls) == 2**10 + 10 + 4
         # One star column per block of 2^5 rows, and one call per level.
         assert len(calls) <= 2**(10 - 10 // 2) + 10 + 4
