@@ -4,6 +4,8 @@
 penta-plet, as SVG files.
 
 Usage: python3 scripts/render_figures.py [outdir]
+
+An outdir that cannot be made or written exits 5 with one error line.
 """
 
 import sys
@@ -11,27 +13,37 @@ from fractions import Fraction
 from pathlib import Path
 
 from halfrare import marginals_from_values
+from halfrare.cli import EXIT_IO
 from halfrare.figure import render_figure
 from halfrare.transforms import identity_phenomenon
 
 
-def main() -> int:
-    outdir = Path(sys.argv[1] if len(sys.argv) > 1 else "figures")
-    outdir.mkdir(parents=True, exist_ok=True)
-
+def charts():
+    """The file name and the marginals of every chart."""
     base = [Fraction(45, 100) - Fraction(5, 100) * i for i in range(7)]
     for n in range(2, 8):
-        m = marginals_from_values(base[:n])
-        path = outdir / f"intervals_n{n}.svg"
-        path.write_text(render_figure(m))
-        print(f"wrote {path}")
+        yield f"intervals_n{n}.svg", marginals_from_values(base[:n])
 
     # Phenomenon variants of the penta-plet: complement the last k events.
     penta = marginals_from_values(base[:5])
     for k in range(1, 6):
         m = identity_phenomenon(5, kept=(1 << (5 - k)) - 1).map_marginals(penta)
-        path = outdir / f"pentaplet_phenomenon_{5 - k}kept.svg"
-        path.write_text(render_figure(m))
+        yield f"pentaplet_phenomenon_{5 - k}kept.svg", m
+
+
+def main() -> int:
+    outdir = Path(sys.argv[1] if len(sys.argv) > 1 else "figures")
+    written = []
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, m in charts():
+            path = outdir / name
+            path.write_text(render_figure(m))
+            written.append(path)
+    except OSError as e:
+        print(f"error: cannot write figures to {outdir}: {e}", file=sys.stderr)
+        return EXIT_IO
+    for path in written:
         print(f"wrote {path}")
     return 0
 

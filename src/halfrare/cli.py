@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from . import bounds as _bounds
@@ -72,14 +71,11 @@ def _read_document(path: str) -> tuple[list[str], list]:
     except (ValueError, RecursionError) as e:
         # Bad JSON syntax, bytes that are not UTF-8, or nesting too deep.
         raise CliError(EXIT_PARSE, f"invalid JSON in {path}: {e}")
-    try:
-        labels, items = doc["events"], doc["probabilities"]
-    except (KeyError, TypeError) as e:
-        raise CliError(EXIT_PARSE, f"malformed input document: {e}")
     if not (
-        isinstance(labels, list)
+        isinstance(doc, dict)
+        and isinstance(labels := doc.get("events"), list)
         and all(isinstance(lab, str) for lab in labels)
-        and isinstance(items, list)
+        and isinstance(items := doc.get("probabilities"), list)
     ):
         raise CliError(
             EXIT_PARSE,
@@ -94,12 +90,10 @@ def _read_document(path: str) -> tuple[list[str], list]:
 
 
 def _load_marginals(args: argparse.Namespace) -> MarginalSet:
-    if args.probs:
+    if args.input is None:
         labels, items = None, args.probs.split(",")
-    elif args.input:
-        labels, items = _read_document(args.input)
     else:
-        raise CliError(EXIT_PARSE, "no marginals given: use -p or --input")
+        labels, items = _read_document(args.input)
     # Before any item is parsed, so an oversized input fails fast.
     check_event_count(len(items))
     probs = []
@@ -164,8 +158,10 @@ def _csv_field(text: str) -> str:
 _JSON_ITEM_SEP = ",\n        "
 
 
-def _emit_rows(m: MarginalSet, args: argparse.Namespace, out) -> None:
+def cmd_bounds(args: argparse.Namespace) -> int:
+    m = _load_marginals(args)
     fmt = _fmt(args)
+    out = sys.stdout
     if args.format == "json":
         # The bytes of json.dump({"N": n, "rows": [...]}, indent=2), written
         # block by block; labels are escaped once, by the C encoder.
@@ -198,34 +194,26 @@ def _emit_rows(m: MarginalSet, args: argparse.Namespace, out) -> None:
                 f"{w}{word}   {head}{tail:<{width - len(head)}} {lower:>12} {star:>12} {upper:>12}\n"
                 for w, head, lower, star, upper in rows
             ))
-
-
-def cmd_bounds(args: argparse.Namespace) -> int:
-    m = _load_marginals(args)
-    _emit_rows(m, args, sys.stdout)
     return EXIT_OK
 
 
 def _report_dict(report: _oracle.VerificationReport) -> dict:
     n = report.marginals.n
 
-    def exact(q: Fraction) -> str:
-        return format_exact((q.numerator,), q.denominator)[0]
-
     def atoms(w: TerraceDistribution) -> list[str]:
         return format_exact(w.numerators, w.den)
 
     return {
         "N": n,
-        "probabilities": [exact(p) for p in report.marginals.probs],
+        "probabilities": [str(p) for p in report.marginals.probs],
         "verdict": "pass" if report.verdict else "fail",
         "subsets": [
             {
                 "subset": indicator_string(r.subset, n),
-                "closed_form_lower": exact(r.closed_form_lower),
-                "lp_min": exact(r.lp_min),
-                "closed_form_upper": exact(r.closed_form_upper),
-                "lp_max": exact(r.lp_max),
+                "closed_form_lower": str(r.closed_form_lower),
+                "lp_min": str(r.lp_min),
+                "closed_form_upper": str(r.closed_form_upper),
+                "lp_max": str(r.lp_max),
                 "witness_min": atoms(r.witness_min),
                 "witness_max": atoms(r.witness_max),
             }
@@ -329,9 +317,9 @@ def digit_count(text: str) -> int:
 
 
 def _add_input_args(p: argparse.ArgumentParser):
-    """-p and -i, in a group whose options exclude each other; returned so
-    that `verify` can add --random to it."""
-    source = p.add_mutually_exclusive_group()
+    """-p and -i, in a group that needs exactly one of its options; returned
+    so that `verify` can add --random to it."""
+    source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("-p", "--probs",
                         help="comma list of probabilities, events auto-named x1..xN")
     source.add_argument("-i", "--input", help="JSON file with events and probabilities")

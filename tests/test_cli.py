@@ -428,6 +428,15 @@ class TestPhenomenonCommand:
         (["bounds", "-p", ",".join(["0.4"] * 20 + ["x"])], None, 3),
         (["phenomenon", "-i", "DOC", "--kept", "a,b"],
          {"events": ["", "a,b", '"'], "probabilities": ["0.4"] * 3}, 3),
+        (["bounds"], None, 2),
+        (["figure"], None, 2),
+        (["phenomenon", "--kept", "x1"], None, 2),
+        (["verify"], None, 2),
+        (["bounds", "-p", ""], None, 2),
+        (["bounds", "-i", ""], None, 5),
+        (["bounds", "-i", "DOC"], [], 2),
+        (["bounds", "-i", "DOC"], "ab", 2),
+        (["bounds", "-i", "DOC"], {"probabilities": ["0.4"]}, 2),
     ],
     ids=[
         "bounds-digits-negative",
@@ -474,6 +483,15 @@ class TestPhenomenonCommand:
         "input-digit-separator",
         "oversized-list-malformed-item",
         "kept-label-with-comma",
+        "bounds-no-input",
+        "figure-no-input",
+        "phenomenon-no-input",
+        "verify-no-input",
+        "probs-empty",
+        "input-empty-path",
+        "document-a-list",
+        "document-a-string",
+        "document-without-events",
     ],
 )
 def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):
@@ -498,6 +516,11 @@ def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):
         # One line that names the problem without echoing the whole input.
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert len(proc.stderr.replace(str(tmp_path), "").encode()) < 200
+    if not {"-p", "-i", "--random"} & set(argv):
+        assert proc.stderr.startswith("usage:") and " is required" in proc.stderr
+    if "malformed input document" in proc.stderr and "not text" not in proc.stderr:
+        # One message for every wrong shape, naming both keys.
+        assert '"events"' in proc.stderr and '"probabilities"' in proc.stderr
     if "1e-2000000" in argv:
         assert elapsed < 1.0  # rejected from the text, before 10^2000000 is built
     if argv[:2] == ["verify", "--random"]:
@@ -716,6 +739,29 @@ def test_sweep_rejects_bad_ranges(argv):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("verification_sweep.py: error:")
+
+
+@pytest.mark.parametrize("outdir", ["FILE", "FILE/figures"], ids=["a-file", "under-a-file"])
+def test_render_figures_rejects_bad_outdir(tmp_path, outdir):
+    (tmp_path / "FILE").write_text("")
+    script = Path(__file__).parents[1] / "scripts" / "render_figures.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, str(script), str(tmp_path / outdir)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 5
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: cannot write figures to ")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="no sh")
+def test_ci_checks_script_parses():
+    # A syntax error in the CI script fails here, not only on GitHub.
+    script = Path(__file__).parents[1] / "scripts" / "ci_checks.sh"
+    proc = subprocess.run(["sh", "-n", str(script)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # Numbers as the CLI reads them.  Accepted exponents stay within +-30: an
