@@ -76,5 +76,16 @@ echo "== README scripts"
 cd "$root"
 PYTHONPATH=src python3 scripts/verification_sweep.py --count 12 --n-max 4
 PYTHONPATH=src python3 scripts/render_figures.py "$tmp/figures"
+# A closed stdout fails them as it fails halfrare: exit 5 and one error line.
+for run in "verification_sweep.py --count 4 --n-max 3" "render_figures.py $tmp/closed-figures"; do
+    set -- $run
+    script=$1
+    shift
+    code=0
+    PYTHONPATH=src python3 "scripts/$script" "$@" >&- 2> "$tmp/closed.err" || code=$?
+    test "$code" -eq 5
+    test "$(wc -l < "$tmp/closed.err")" -eq 1
+    grep -q '^error: cannot write standard output: ' "$tmp/closed.err"
+done
 
 echo "== All CI checks passed"

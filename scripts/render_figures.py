@@ -5,7 +5,8 @@ penta-plet, as SVG files.
 
 Usage: python3 scripts/render_figures.py [outdir]
 
-An outdir that cannot be made or written exits 5 with one error line.
+An outdir that cannot be made or written exits 5 with one error line, and so
+does an error writing standard output, as in the CLI.
 """
 
 import sys
@@ -13,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from halfrare import marginals_from_values
-from halfrare.cli import EXIT_IO
+from halfrare.cli import EXIT_IO, guard_stdout
 from halfrare.figure import render_figure
 from halfrare.transforms import identity_phenomenon
 
@@ -49,4 +50,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(guard_stdout(main))

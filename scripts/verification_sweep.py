@@ -4,6 +4,9 @@ one line per N (sets run, sets sharp, seconds) and a total line.
 
 Usage: python3 scripts/verification_sweep.py [--count 100] [--n-min 2]
        [--n-max 5] [--seed 0]
+
+Exits 0 when every set is sharp, 1 when one is not, 2 on bad arguments and 5,
+as the CLI does, on an error writing standard output.
 """
 
 import argparse
@@ -11,7 +14,7 @@ import sys
 import time
 
 from halfrare import random_marginals, verify_bounds
-from halfrare.cli import non_negative_int
+from halfrare.cli import guard_stdout, non_negative_int
 from halfrare.oracle import MAX_LP_EVENTS
 
 
@@ -52,4 +55,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(guard_stdout(main))

@@ -4,9 +4,11 @@ transforms and SVG interval charts.
 Exit codes: 0 ok, 2 parse error, 3 validation error, 4 verification failure,
 5 I/O error.  Any error writing standard output ends the run with exit 5 and
 one `error:` line; a reader that closes it early (`halfrare bounds ... | head
--2`) does so silently.  `main` then points stdout at devnull, as the "Note on
-SIGPIPE" in the Python `signal` docs advises, so the interpreter's last flush
-does not fail again.
+-2`) does so silently.  `guard_stdout`, shared with the README scripts, then
+points stdout at devnull, as the "Note on SIGPIPE" in the Python `signal`
+docs advises, so the interpreter's last flush does not fail again.  `main(argv)`
+can be called repeatedly in one process: it builds its parser on the first
+call and keeps it, as parsing leaves a parser unchanged.
 
 Bound tables are written in every format as one block of 2^(N//2) rows per
 write, built from the label tables of the low N//2 and the high N - N//2
@@ -20,6 +22,7 @@ formatter so that it formats each of them once.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -372,26 +375,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+_parser = functools.cache(build_parser)
+
+
+def guard_stdout(run: Callable[[], int]) -> int:
+    """run()'s exit code, once stdout is flushed; EXIT_IO on an error writing it."""
     if sys.stdout is None:
-        # None when fd 1 was closed at start.  An unwritable stream, left
-        # open as the standard ones are, makes a command that prints exit 5.
+        # None when fd 1 was closed at start: an unwritable stream makes prints fail.
         sys.stdout = open(os.open(os.devnull, os.O_RDONLY), closefd=False)
     try:
-        code = args.func(args)
+        code = run()
         sys.stdout.flush()
         return code
     except OSError as e:
-        # Only writing stdout raises here: the commands turn every other I/O
-        # error into a CliError.  Keep the interpreter's final flush from
-        # raising again.  A closed pipe means the reader is gone: no message.
+        # Keep the final flush from failing again.  A closed pipe: no message.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         if not isinstance(e, BrokenPipeError):
             print(f"error: cannot write standard output: {e}", file=sys.stderr)
         return EXIT_IO
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        # The commands turn every I/O error but writing stdout into a CliError.
+        return guard_stdout(lambda: args.func(args))
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

@@ -591,6 +591,75 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+def test_cli_import_builds_no_parser():
+    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import halfrare.cli\n"
+        "print(len(built))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+def test_main_builds_its_parser_on_the_first_call_only(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    counts = []
+    for _ in range(2):
+        before = len(built)
+        assert main(["bounds", "-p", "0.45,0.40"]) == 0
+        counts.append(len(built) - before)
+    assert counts[0] > 0 and counts[1] == 0
+
+
+def test_build_parser_returns_a_new_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_reused_parser_prints_what_a_fresh_process_does(capsys):
+    # Calls that parse, fail to parse, print help or set other options leave
+    # the shared parser as a fresh one: later calls print the same bytes.
+    def exit_code(argv):
+        try:
+            return main(argv)
+        except SystemExit as e:
+            return e.code
+
+    earlier = [
+        (["bounds", "-p", "0.45,0.4", "--digits", "2"], 0),
+        (["bounds", "-p", "0.45,0.4", "--digits", "x"], 2),
+        (["bounds", "-p", "0.45,0.4", "--no-such-option"], 2),
+        (["-h"], 0),
+        (["verify", "--random", "1", "--n", "2", "--seed", "3"], 0),
+        (["verify", "-p", "0.45,0.4"], 0),
+        (["bounds", "-p", "0.45,0.4", "--exact", "--digits", "3"], 2),
+    ]
+    for argv, code in earlier:
+        assert exit_code(argv) == code, argv
+    capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
+    for argv in (["bounds", "-p", "0.45,0.4,1/3"], ["verify", "-p", "0.45,0.4"]):
+        assert main(argv) == 0
+        fresh = subprocess.run([sys.executable, "-m", "halfrare", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert fresh.returncode == 0
+        assert capsys.readouterr().out == fresh.stdout, argv
+
+
 def test_perfbench_span_targets_resolve():
     # The benchmark's traced runs wrap each (module, attribute) of
     # perfbench/spans.py TARGETS; one that no longer resolves stops them.
@@ -754,6 +823,37 @@ def test_render_figures_rejects_bad_outdir(tmp_path, outdir):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: cannot write figures to ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("stdout", ["closed-pipe", "closed"])
+@pytest.mark.parametrize(
+    "script, args",
+    [("render_figures.py", ["OUT"]), ("verification_sweep.py", ["--count", "4", "--n-max", "3"])],
+    ids=["render-figures", "verification-sweep"],
+)
+def test_scripts_exit_5_on_a_stdout_write_error(tmp_path, script, args, stdout):
+    # As the CLI: a reader gone leaves no message, a closed stdout one line.
+    argv = [sys.executable, str(Path(__file__).parents[1] / "scripts" / script),
+            *[str(tmp_path / "figures") if a == "OUT" else a for a in args]]
+    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
+    if stdout == "closed-pipe":
+        # No reader from the start, so every write fails, on every run.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (5, "")
+    else:
+        if shutil.which("sh") is None:
+            pytest.skip("needs sh")
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv],
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        assert proc.returncode == 5
+        assert proc.stderr.startswith("error: cannot write standard output: ")
+        assert len(proc.stderr.splitlines()) == 1
 
 
 @pytest.mark.skipif(shutil.which("sh") is None, reason="no sh")
