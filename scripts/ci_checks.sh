@@ -61,6 +61,14 @@ same_stdout verify -p 0.45,0.40
 same_stdout verify --random 3 --n 3 --seed 7
 same_stdout verify --random 2 --n 2 --half-rare
 same_stdout phenomenon -p 0.45,0.40 --kept ""
+# An -i document: a label with a comma, one with a quote, and a probability
+# written as a 34-digit JSON number, which must be read digit for digit.
+printf '%s\n' '{"events": ["a,b", "say \"hi\"", "c"],' \
+    '"probabilities": [0.1000000000000000055511151231257827, "1/3", 0.75]}' > doc.json
+same_stdout bounds -i doc.json --format csv --exact
+# p^+({a,b}) is the first probability itself.
+grep -qx '100,"a,b",0,[0-9/]*,1000000000000000055511151231257827/10000000000000000000000000000000000' installed.out
+same_stdout phenomenon -i doc.json --kept c
 probs=0.45,0.40,0.35,0.30,0.25
 env -u PYTHONPATH halfrare figure -p "$probs" --out installed.svg
 PYTHONPATH="$root/src" python -m halfrare figure -p "$probs" --out module.svg

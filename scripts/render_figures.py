@@ -13,10 +13,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from halfrare import marginals_from_values
+from halfrare import PhenomenonMap, marginals_from_values
 from halfrare.cli import EXIT_IO, guard_stdout
 from halfrare.figure import render_figure
-from halfrare.transforms import identity_phenomenon
 
 
 def charts():
@@ -28,7 +27,7 @@ def charts():
     # Phenomenon variants of the penta-plet: complement the last k events.
     penta = marginals_from_values(base[:5])
     for k in range(1, 6):
-        m = identity_phenomenon(5, kept=(1 << (5 - k)) - 1).map_marginals(penta)
+        m = PhenomenonMap((1 << (5 - k)) - 1, tuple(range(5))).map_marginals(penta)
         yield f"pentaplet_phenomenon_{5 - k}kept.svg", m
 
 

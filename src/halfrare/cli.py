@@ -26,6 +26,7 @@ import functools
 import json
 import os
 import sys
+from decimal import Decimal
 from typing import Callable, Iterator, Sequence
 
 from . import bounds as _bounds
@@ -34,7 +35,6 @@ from . import oracle as _oracle
 from . import transforms as _transforms
 from .core import (
     MarginalSet,
-    TerraceDistribution,
     check_event_count,
     default_event_set,
     format_decimal,
@@ -68,7 +68,8 @@ def _read_document(path: str) -> tuple[list[str], list]:
     """The labels and the probability items of a JSON input document."""
     try:
         with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
+            # Decimal keeps a JSON number's own digits: a float would round them.
+            doc = json.load(f, parse_float=Decimal)
     except OSError as e:
         raise CliError(EXIT_IO, f"cannot read {path}: {e}")
     except (ValueError, RecursionError) as e:
@@ -191,10 +192,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     else:
         # The full set's label string is the longest one.
         width = max(12, len("+".join(m.events.labels)) + 2)
-        out.write(f"{'subset':<{m.n + 2}} {'labels':<{width}} {'lower':>12} {'star':>12} {'upper':>12}\n")
+        # The subset column fits "subset" and an indicator string, then a space.
+        gap = " " * max(3, 7 - m.n)
+        out.write(f"{'subset':<{m.n + len(gap)}}{'labels':<{width}} {'lower':>12} {'star':>12} {'upper':>12}\n")
         for word, tail, rows in _bound_rows(m, fmt, m.events.labels, "+"):
             out.write("".join(
-                f"{w}{word}   {head}{tail:<{width - len(head)}} {lower:>12} {star:>12} {upper:>12}\n"
+                f"{w}{word}{gap}{head}{tail:<{width - len(head)}} {lower:>12} {star:>12} {upper:>12}\n"
                 for w, head, lower, star, upper in rows
             ))
     return EXIT_OK
@@ -202,10 +205,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def _report_dict(report: _oracle.VerificationReport) -> dict:
     n = report.marginals.n
-
-    def atoms(w: TerraceDistribution) -> list[str]:
-        return format_exact(w.numerators, w.den)
-
     return {
         "N": n,
         "probabilities": [str(p) for p in report.marginals.probs],
@@ -217,8 +216,8 @@ def _report_dict(report: _oracle.VerificationReport) -> dict:
                 "lp_min": str(r.lp_min),
                 "closed_form_upper": str(r.closed_form_upper),
                 "lp_max": str(r.lp_max),
-                "witness_min": atoms(r.witness_min),
-                "witness_max": atoms(r.witness_max),
+                "witness_min": format_exact(r.witness_min.numerators, r.witness_min.den),
+                "witness_max": format_exact(r.witness_max.numerators, r.witness_max.den),
             }
             for r in report.records
         ],
@@ -279,7 +278,7 @@ def cmd_phenomenon(args: argparse.Namespace) -> int:
         if lab not in m.events.labels:
             raise CliError(EXIT_VALIDATION, f"unknown event label in --kept: {lab!r}")
         kept |= 1 << m.events.labels.index(lab)
-    transformed = _transforms.identity_phenomenon(m.n, kept).map_marginals(m)
+    transformed = _transforms.PhenomenonMap(kept, tuple(range(m.n))).map_marginals(m)
     # Complementing p_c and renumbering X -> X xor C leave every bound
     # unchanged, so the transformed table is the table of the transformed
     # marginals.

@@ -52,30 +52,23 @@ def render_figure(m: MarginalSet) -> str:
         ".label{font:8px monospace;fill:#444;text-anchor:middle}</style>",
     ]
     for k in range(5):
-        q = Fraction(k, 4)
-        y = _y(q)
+        y = _y(Fraction(k, 4))
+        tick = f"{k}/4" if k % 4 else str(k // 4)
         parts.append(
             f'<line class="grid" stroke-dasharray="4 3" '
             f'x1="{MARGIN_LEFT}" y1="{y:.2f}" '
             f'x2="{WIDTH - MARGIN_RIGHT}" y2="{y:.2f}"/>'
         )
-        parts.append(
-            f'<text class="tick" x="4" y="{y + 3:.2f}">{k}/4</text>'
-            if k % 4
-            else f'<text class="tick" x="4" y="{y + 3:.2f}">{k // 4}</text>'
-        )
+        parts.append(f'<text class="tick" x="4" y="{y + 3:.2f}">{tick}</text>')
     for x in range(ncells):
         cx = MARGIN_LEFT + slot * (x + 0.5)
         left = cx - bar / 2
         y_up, y_star, y_lo = bd.upper[x], _y(star[x]), bd.lower[x]
-        parts.append(
-            f'<rect class="blue" x="{left:.2f}" y="{y_up:.2f}" '
-            f'width="{bar:.2f}" height="{y_star - y_up:.2f}"/>'
-        )
-        parts.append(
-            f'<rect class="red" x="{left:.2f}" y="{y_star:.2f}" '
-            f'width="{bar:.2f}" height="{y_lo - y_star:.2f}"/>'
-        )
+        for colour, top, bottom in (("blue", y_up, y_star), ("red", y_star, y_lo)):
+            parts.append(
+                f'<rect class="{colour}" x="{left:.2f}" y="{top:.2f}" '
+                f'width="{bar:.2f}" height="{bottom - top:.2f}"/>'
+            )
         parts.append(
             f'<text class="label" x="{cx:.2f}" y="{HEIGHT - 8}">'
             f"{indicator_string(x, n)}</text>"

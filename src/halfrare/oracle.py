@@ -51,7 +51,7 @@ class VerificationReport(Value):
 
     @property
     def verdict(self) -> bool:
-        return all(r.matches for r in self.records)
+        return self.first_mismatch() is None
 
     def first_mismatch(self) -> SubsetRecord | None:
         for r in self.records:

@@ -77,10 +77,6 @@ class PhenomenonMap(Value):
         return validate_marginals(make_event_set(labels), self.map_probs(m.probs))
 
 
-def identity_phenomenon(n: int, kept: int) -> PhenomenonMap:
-    return PhenomenonMap(kept, tuple(range(n)))
-
-
 def independent_epd(m: MarginalSet) -> TerraceDistribution:
     """Dense terrace distribution of the independent projection, over the one
     denominator D = prod den(p_x) that every cell shares."""

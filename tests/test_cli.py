@@ -99,6 +99,24 @@ class TestBoundsCommand:
         assert code == 0
         assert json.loads(out)["rows"][1]["labels"] == ["a"]
 
+    def test_json_numbers_are_read_as_written(self, capsys, tmp_path):
+        # A JSON number keeps its own digits, as the same digits in a string do;
+        # read through a float, the first would print 1/10 and 1e400 'inf'.
+        digits = "0.1000000000000000055511151231257827"
+        outs = []
+        for item in (digits, f'"{digits}"'):
+            path = tmp_path / "m.json"
+            path.write_text(f'{{"events": ["a"], "probabilities": [{item}]}}')
+            code, out, _ = run(capsys, "bounds", "-i", str(path), "--format", "csv", "--exact")
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert outs[0].splitlines()[2].split(",")[3] == str(F(digits))
+        path.write_text('{"events": ["a"], "probabilities": [1e400]}')
+        code, out, err = run(capsys, "bounds", "-i", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: cannot parse probability #0: '1E+400' exceeds 200 digits\n"
+
     def test_bad_json_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")
@@ -193,6 +211,23 @@ def test_traced_layers_called_once_per_table(monkeypatch, argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([*argv, "-p", "0.45,0.7,1/3,0,1,0.5,2/3,0.9,0.2"]) == 0
     assert sorted(calls) == ["boundary_distributions", "independent_epd"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_table_columns_line_up_under_the_header(capsys, n):
+    # "subset" is wider than an indicator string for N < 4.
+    probs = ["0.45", "0.4", "1/3", "0.3", "0.25"][:n]
+    _, out, _ = run(capsys, "bounds", "-p", ",".join(probs))
+    header, empty_set, *rows = out.splitlines()
+
+    def value_ends(line):
+        return [t.end() for t in re.finditer(r"\S+", line)][-3:]
+
+    labels_at = header.index("labels")
+    for row in [empty_set, *rows]:
+        assert value_ends(row) == value_ends(header), row
+    for row in rows:
+        assert row[labels_at - 1] == " " and row[labels_at] == "x", row
 
 
 def test_json_table_same_with_unbuffered_stdout():
@@ -577,6 +612,13 @@ def test_readme_names_every_cli_option():
                     re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", readme)
                     for opt in action.option_strings
                 ), (command, action.option_strings)
+
+
+def test_readme_names_every_public_name():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert [
+        name for name in halfrare.__all__ if not re.search(rf"(?<!\w){name}(?!\w)", readme)
+    ] == []
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_out():

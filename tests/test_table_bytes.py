@@ -1,9 +1,12 @@
 """Byte pins for the writers: the sha256 of the stdout of a fixed list of
-`bounds`, `phenomenon` and `verify` invocations.  The table digests were
-recorded from the writers before the bounds columns were filled from the two
-half renumbering tables, the `--digits 640` ones before the formatters took a
-whole column, and the `verify` ones before each report was written as it was
-made, so any change to a byte of any output shows here."""
+`bounds`, `phenomenon` and `verify` invocations, and of the SVG files that
+`figure` writes.  The table digests were recorded from the writers before the
+bounds columns were filled from the two half renumbering tables, the
+`--digits 640` ones before the formatters took a whole column, the `verify`
+ones before each report was written as it was made, and the `figure` ones
+before each SVG element was written from one template, so any change to a
+byte of any output shows here.  The `--format table` digests for N <= 3 were
+recorded again when the rows' value columns were aligned under the header's."""
 
 import contextlib
 import hashlib
@@ -47,11 +50,17 @@ VERIFY = {
     "verify-random-half-rare": ["verify", "--random", "2", "--n", "2", "--half-rare"],
 }
 
+#: `figure` charts: the penta-plet, and a general N=8 set at the figure cap.
+FIGURES = {
+    "figure-pentaplet": "0.45,0.40,0.35,0.30,0.25",
+    "figure-n8-general": "0.9,0.1,0.5,1,0,2/3,1/3,0.75",
+}
+
 DIGESTS = {
-    "n1-general/table": "6d54661bed5107ff8b474de8c5873619da3837a7c0eb8774072c132b2567428c",
-    "n1-general/table-exact": "e602143d969d3b0ca80b19aecfce6a9c7f177ba5c2a3d0c03a462b1d88a24770",
-    "n1-general/table-digits0": "079b781fc86b4a15f5c3c000f0bfe3544655226ba5f4242152fdcef6d0dad469",
-    "n1-general/table-digits640": "6d54661bed5107ff8b474de8c5873619da3837a7c0eb8774072c132b2567428c",
+    "n1-general/table": "b44e1e2fd561910069630122fee2862cefe899c0407659ad2d4feeec51e5e5bb",
+    "n1-general/table-exact": "59f7d65ea7e56bb79c7f896bbddfddc6dadc287b770ad7dbff6ad4f690d58956",
+    "n1-general/table-digits0": "304d01c5349aac57e4698af2c3e554397433cf48914b81ad6e5964c6e77e0e12",
+    "n1-general/table-digits640": "b44e1e2fd561910069630122fee2862cefe899c0407659ad2d4feeec51e5e5bb",
     "n1-general/json": "c033f88a41baab3e9704b5369b99ac0ff5200736e9ee157d04cf75601259da34",
     "n1-general/json-exact": "4c7d3ac5656ee8de2531d5089ae0ff252970e965647b40150b8a966dfaa94948",
     "n1-general/json-digits0": "0a5c8c67626a279c8f059e85e859a43f6a2209b7a84607556a984921d4804b64",
@@ -60,10 +69,10 @@ DIGESTS = {
     "n1-general/csv-exact": "b57a783deaf93365b52e94f0db69d2211e80b6afaa71021d71c88996d5dda8c4",
     "n1-general/csv-digits0": "6af205dd0c538266def8794ca3cdf800845d2a0843b52a91df55a1340d428b48",
     "n1-general/csv-digits640": "d530c838a89eb48c86691fe0cbed71e903c009660aeb3299d5640a0543435867",
-    "n1-half-rare/table": "41e450c122694b1ff7344aae1135e55f9a26bfb3c08e31b5d9adb45cba66ad8b",
-    "n1-half-rare/table-exact": "dcd5c603e92cbdca7d18b37e53b48ee5510a75fa960b93c06b3674f9ad186245",
-    "n1-half-rare/table-digits0": "dffae0ffe110de504e9dc500a13733df59ee94ecc554abcd550cb8b4bfec53a0",
-    "n1-half-rare/table-digits640": "41e450c122694b1ff7344aae1135e55f9a26bfb3c08e31b5d9adb45cba66ad8b",
+    "n1-half-rare/table": "77b43996d93462b3f030597f7647da597b274ee5097b9db60b7a41300c04b0aa",
+    "n1-half-rare/table-exact": "cba95292dad68dd13bf8b42d1b68a4da0457fdf23448e635efd04920211b5da8",
+    "n1-half-rare/table-digits0": "1cf5f75272dd5f4c4d0db4e8b26142d19ea2cca57afa4a9b321e360c1c7c37ab",
+    "n1-half-rare/table-digits640": "77b43996d93462b3f030597f7647da597b274ee5097b9db60b7a41300c04b0aa",
     "n1-half-rare/json": "2cec384192df472cbeb66ed91e68a478b4c3a4611aeba80d857ed699910f94f2",
     "n1-half-rare/json-exact": "eabe887fc720d7fe1b6a6ff03bf05bef6f14b69e11b7a8ea67fd1163836d0827",
     "n1-half-rare/json-digits0": "f570eb36ffcc60ffbd119c43c09403ccb8b76292ab330a21f4bbf1b885bbd9e5",
@@ -72,10 +81,10 @@ DIGESTS = {
     "n1-half-rare/csv-exact": "4b790019d468779b91c7b222de95fdb11cc5e956cb6f305acacc1ec1d79eb0f6",
     "n1-half-rare/csv-digits0": "7e2ce1e63630cb9283cc30ef4e6c898729452d2748d32fc613f78a8c2cdd87d4",
     "n1-half-rare/csv-digits640": "16d59515e47080ba46716b378d92093eea63b78894ef9ff72461f7f99c19068d",
-    "n2-general/table": "508e1eb2a2fb290f115ecf43291f006fabc7f486c30ec70a4f05e502431dfe65",
-    "n2-general/table-exact": "508e1eb2a2fb290f115ecf43291f006fabc7f486c30ec70a4f05e502431dfe65",
-    "n2-general/table-digits0": "508e1eb2a2fb290f115ecf43291f006fabc7f486c30ec70a4f05e502431dfe65",
-    "n2-general/table-digits640": "508e1eb2a2fb290f115ecf43291f006fabc7f486c30ec70a4f05e502431dfe65",
+    "n2-general/table": "86c6e4dc011f6ef7ea904f0664834928a14b26745f4d81920c6f10d24c1edd52",
+    "n2-general/table-exact": "86c6e4dc011f6ef7ea904f0664834928a14b26745f4d81920c6f10d24c1edd52",
+    "n2-general/table-digits0": "86c6e4dc011f6ef7ea904f0664834928a14b26745f4d81920c6f10d24c1edd52",
+    "n2-general/table-digits640": "86c6e4dc011f6ef7ea904f0664834928a14b26745f4d81920c6f10d24c1edd52",
     "n2-general/json": "e373f7e22a3389eecd2bb3878cc808b02bef156a30f3f37d4dad16bbbe56eb15",
     "n2-general/json-exact": "e373f7e22a3389eecd2bb3878cc808b02bef156a30f3f37d4dad16bbbe56eb15",
     "n2-general/json-digits0": "e373f7e22a3389eecd2bb3878cc808b02bef156a30f3f37d4dad16bbbe56eb15",
@@ -84,10 +93,10 @@ DIGESTS = {
     "n2-general/csv-exact": "4fb4c4f24ed400ee6e68b23b2dd5f041323fb0a21a22534279bae04541c523ab",
     "n2-general/csv-digits0": "4fb4c4f24ed400ee6e68b23b2dd5f041323fb0a21a22534279bae04541c523ab",
     "n2-general/csv-digits640": "4fb4c4f24ed400ee6e68b23b2dd5f041323fb0a21a22534279bae04541c523ab",
-    "n2-half-rare/table": "c132136279cada1d30458cfb6a2f5d43e13f7ee5de6db19d5ea6cb6f46573fdc",
-    "n2-half-rare/table-exact": "f9e52bb7d583ec2b8e4543a41dd02148531f44b93f569bacc0c685d0126d9754",
-    "n2-half-rare/table-digits0": "c47056c90adadacc11e86517ce566876955a6f04a2082a3e40d4fce34ef59a86",
-    "n2-half-rare/table-digits640": "c132136279cada1d30458cfb6a2f5d43e13f7ee5de6db19d5ea6cb6f46573fdc",
+    "n2-half-rare/table": "65dbb38e67c6c0eec1533aa28fe6b74e19fa096cff821ee2410f5201da7c9b7b",
+    "n2-half-rare/table-exact": "09945e2f302ff1142949068109cdd8421159186caf56c4a6657a1603a204573c",
+    "n2-half-rare/table-digits0": "54fdf3a6d13f01daed017b04281e64b0813f99fda6c9016d3180d4a020d06b05",
+    "n2-half-rare/table-digits640": "65dbb38e67c6c0eec1533aa28fe6b74e19fa096cff821ee2410f5201da7c9b7b",
     "n2-half-rare/json": "dcd23b77364def394bedcf5cd532a8cb1866cc257b72152f2c68f20100622251",
     "n2-half-rare/json-exact": "d4d5c851ba578c51c065753abac894e6e7dd159cdabd9fc630923b1839e31fbf",
     "n2-half-rare/json-digits0": "f95d8b7207529ded2a35e1b9f0e796458ff7813d8e8b177b0a1879a47db856b3",
@@ -96,10 +105,10 @@ DIGESTS = {
     "n2-half-rare/csv-exact": "61dbf27ebab9fb43739d75f71bd09d49ac8284f434bd100fd5622689b6eeffb7",
     "n2-half-rare/csv-digits0": "c50277fdaff701c6af25ccbc7530f7b3a27eb5677ec823be87b7d91c8251e439",
     "n2-half-rare/csv-digits640": "67b187cf3eb6de1ed42a89d5ad1ced649422d96a162712b15a0cadefa9d710b6",
-    "n3-general/table": "1bb9a36ee0d63d9016bbbaaafabb221378ccda7d2e57bd9147d700c94f5068f8",
-    "n3-general/table-exact": "23e7082db82e26626c6a8af70210b47177c8addcfc40a2ecd245f5212f21439e",
-    "n3-general/table-digits0": "d3af9f5416d59c8ebc21caa2e4dc95b89fcb66cc8c7c56b301a9d2290da702fd",
-    "n3-general/table-digits640": "1bb9a36ee0d63d9016bbbaaafabb221378ccda7d2e57bd9147d700c94f5068f8",
+    "n3-general/table": "5066c2d05e9dadcef2e3a42accbd0018e67be6f39e6e906ce506f8db6b7b5814",
+    "n3-general/table-exact": "7a28943e486fb54d1e088694fd760b6d9430bede74d0ead8d8e0af99f0c233e3",
+    "n3-general/table-digits0": "319e58a7d95d521732afe160b19e3c53784252be17d361b3a7d6b7482568cff3",
+    "n3-general/table-digits640": "5066c2d05e9dadcef2e3a42accbd0018e67be6f39e6e906ce506f8db6b7b5814",
     "n3-general/json": "f75e9d63e5d1a1336f9b3b115a50a355564f051952ddb486d7273228ba9f1a3a",
     "n3-general/json-exact": "c7e85056b4db54e22a3049e270148a944c696e859196a042c8f020e4432be1ff",
     "n3-general/json-digits0": "ed818eb2aa566df5b053847c8e7110f069f3b9393d51a584b04cd679ff33df29",
@@ -108,10 +117,10 @@ DIGESTS = {
     "n3-general/csv-exact": "385fab3766c978370ac9a2152fe9d7b0ef3d9315839c2bef9b8f81dba6217b07",
     "n3-general/csv-digits0": "2d2c11cfd02d2abd15cd95ea5caf9bf0d9e1cee28c2be3052dec79c03b37a3d7",
     "n3-general/csv-digits640": "fe5b313a2487c5210350f86c597da1e51be27688e3e3670ce1676bd6aac5d332",
-    "n3-half-rare/table": "1d146502de4b78cb4e610918bd18f885f6982cde381f83ac198a9b6df0759367",
-    "n3-half-rare/table-exact": "c84c4b77fdae1101f3c75d184b3c55af8e2ac5cc9ac978b42ecf29f6184f2c5c",
-    "n3-half-rare/table-digits0": "8cdb9537a4e53bc41c2a886cec968fed82ecc743a4b05c0d219b480f89b721a2",
-    "n3-half-rare/table-digits640": "a5247bfce0184a885887ba4a4e4239db571d76e3414277f88625c1a2f41caedf",
+    "n3-half-rare/table": "003b984ef1e7bd91f956c7fb5087f60244a759584e1603832705798953f92501",
+    "n3-half-rare/table-exact": "5009c5408b569d44cc3c8932a7f2e913369eebc9e08d9401fa8f22b42653b6da",
+    "n3-half-rare/table-digits0": "c6f6f2789510aee4056e42156df08688c7c04bd9db68438c30584cdf795c14e0",
+    "n3-half-rare/table-digits640": "155ef0bc27596c11e4cec787a6e6cac4887d77f0761c0f1d531a4cd931a9bd70",
     "n3-half-rare/json": "c6617bff58f361f81291b129ae629f98b02fe44f314a2b68fe1161e267df682a",
     "n3-half-rare/json-exact": "a52e94bcbdb3914fa0a42786b53b3d22e076e01685fd35c98d67896beb8c33e7",
     "n3-half-rare/json-digits0": "32f2443d6f5b7f06860d3f7eb5170fdb433b9ecd727f0bbeeaa2689e66af3889",
@@ -184,6 +193,8 @@ DIGESTS = {
     "verify-p": "d8f35ad2a43aadfe275ceeda556052dd7704cb3b3a6c03f7ef6a80ec3a6dad27",
     "verify-random": "6e2a751a090a113bcaee2aeb42b8cfd0e02f534c8d3d5e854d115497ba03c4d5",
     "verify-random-half-rare": "d7bc339c0a28780a5377c4b0cacc791083d5773648869c0f8251b4141c8042f4",
+    "figure-pentaplet": "ad9088b7035255359ee49680799b100e8d2ff28fae3b5e73e635659b5f715b11",
+    "figure-n8-general": "57ab38a9452d2c37761e88645a713d40abd5ce34678573a7cc3621ca23349872",
 }
 
 
@@ -216,3 +227,10 @@ def test_table_bytes_pinned(tmp_path, set_name):
         if name.split("/")[0] == set_name
     }
     assert got and got == {name: DIGESTS[name] for name in got}
+
+
+@pytest.mark.parametrize("name", FIGURES)
+def test_figure_bytes_pinned(tmp_path, name):
+    path = tmp_path / "figure.svg"
+    assert main(["figure", "-p", FIGURES[name], "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[name]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from halfrare import apply_phenomenon, independent_epd, marginals_from_values
 from halfrare.errors import IndexOutOfRange, LengthMismatch
-from halfrare.transforms import PhenomenonMap, half_rare_map, identity_phenomenon
+from halfrare.transforms import PhenomenonMap, half_rare_map
 
 from conftest import independent_value, marginal_sets, unit_fraction
 
@@ -63,11 +63,11 @@ class TestHalfRareProjection:
         pm = half_rare_map(m.probs)
         h = pm.map_marginals(m)
         assert h.probs == m.probs
-        assert pm == identity_phenomenon(2, kept=0b11)
+        assert pm == PhenomenonMap(0b11, tuple(range(2)))
 
     def test_labels_follow_the_map(self):
         m = marginals_from_values(["0.7", "0.4"])
-        pm = identity_phenomenon(2, kept=0b10)
+        pm = PhenomenonMap(0b10, tuple(range(2)))
         t = pm.map_marginals(m)
         assert t.events.labels == ("x1^c", "x2")
         assert t.probs == pm.map_probs(m.probs) == (F(3, 10), F(2, 5))
@@ -77,7 +77,7 @@ class TestHalfRareProjection:
         pm = half_rare_map(m.probs)
         h = pm.map_marginals(m)
         assert h.probs == m.probs
-        assert pm == identity_phenomenon(2, kept=0b11)
+        assert pm == PhenomenonMap(0b11, tuple(range(2)))
 
     @given(marginal_sets())
     def test_output_is_half_rare(self, m):
@@ -90,7 +90,7 @@ class TestHalfRareProjection:
         pm2 = half_rare_map(h.probs)
         h2 = pm2.map_marginals(h)
         assert h2.probs == h.probs
-        assert pm2 == identity_phenomenon(h.n, kept=(1 << h.n) - 1)
+        assert pm2 == PhenomenonMap((1 << h.n) - 1, tuple(range(h.n)))
 
 
 @st.composite
@@ -134,21 +134,21 @@ def test_phenomenon_map_rejects_a_bad_order_or_kept_set(kept, order):
 class TestApplyPhenomenon:
     def test_identity(self):
         d = independent_epd(marginals_from_values(["0.45", "0.40"]))
-        assert apply_phenomenon(d.atoms, identity_phenomenon(2, kept=0b11)) == d.atoms
+        assert apply_phenomenon(d.atoms, PhenomenonMap(0b11, tuple(range(2)))) == d.atoms
 
     def test_full_complement_reverses(self):
         d = independent_epd(marginals_from_values(["0.45", "0.40"]))
-        out = apply_phenomenon(d.atoms, identity_phenomenon(2, kept=0))
+        out = apply_phenomenon(d.atoms, PhenomenonMap(0, tuple(range(2))))
         assert out == tuple(reversed(d.atoms))
 
     def test_double_complement_restores(self):
         d = independent_epd(marginals_from_values(["0.45", "0.40", "0.1"]))
-        pm = identity_phenomenon(3, kept=0b010)
+        pm = PhenomenonMap(0b010, tuple(range(3)))
         assert apply_phenomenon(apply_phenomenon(d.atoms, pm), pm) == d.atoms
 
     def test_dimension_mismatch(self):
         with pytest.raises(LengthMismatch):
-            apply_phenomenon((F(1),), identity_phenomenon(2, kept=0b11))
+            apply_phenomenon((F(1),), PhenomenonMap(0b11, tuple(range(2))))
 
     @given(st.integers(min_value=1, max_value=5), st.data())
     def test_bijection(self, n, data):
