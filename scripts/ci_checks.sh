@@ -73,9 +73,10 @@ probs=0.45,0.40,0.35,0.30,0.25
 env -u PYTHONPATH halfrare figure -p "$probs" --out installed.svg
 PYTHONPATH="$root/src" python -m halfrare figure -p "$probs" --out module.svg
 cmp installed.svg module.svg
-# A closed stdout is a write error too: exit 5 and one error line.
+# A closed stdout is a write error too: exit 5 and one error line.  Dev mode,
+# with warnings as errors, turns an unclosed file's warning into a second line.
 code=0
-env -u PYTHONPATH halfrare bounds -p 0.45,0.40 >&- 2> closed.err || code=$?
+env -u PYTHONPATH PYTHONDEVMODE=1 PYTHONWARNINGS=error halfrare bounds -p 0.45,0.40 >&- 2> closed.err || code=$?
 test "$code" -eq 5
 test "$(wc -l < closed.err)" -eq 1
 grep -q '^error: cannot write standard output: ' closed.err

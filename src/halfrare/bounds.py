@@ -72,6 +72,8 @@ def _half_rare_levels(p: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], tupl
 
 def lower_bound_half_rare(x: int, h: HalfRareMarginalSet) -> Fraction:
     check_subset(x, h.n)
+    if not isinstance(h, HalfRareMarginalSet):
+        HalfRareMarginalSet(h.events, h.probs)  # NotHalfRare outside the half-rare order
     return _half_rare_levels(h.probs)[0][x] if x < 2 else ZERO
 
 

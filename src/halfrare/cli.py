@@ -34,6 +34,7 @@ from . import figure as _figure
 from . import oracle as _oracle
 from . import transforms as _transforms
 from .core import (
+    DEFAULT_DIGITS,
     MarginalSet,
     check_event_count,
     default_event_set,
@@ -55,7 +56,6 @@ EXIT_IO = 5
 #: Largest --digits: Python's smallest settable integer string limit, so a
 #: decimal never trips the limit; --exact gives full precision.
 MAX_DIGITS = 640
-DEFAULT_DIGITS = 6
 
 
 class CliError(Exception):
@@ -197,7 +197,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         out.write(f"{'subset':<{m.n + len(gap)}}{'labels':<{width}} {'lower':>12} {'star':>12} {'upper':>12}\n")
         for word, tail, rows in _bound_rows(m, fmt, m.events.labels, "+"):
             out.write("".join(
-                f"{w}{word}{gap}{head}{tail:<{width - len(head)}} {lower:>12} {star:>12} {upper:>12}\n"
+                f"{w}{word}{gap}{(head + tail).ljust(width)} {lower:>12} {star:>12} {upper:>12}\n"
                 for w, head, lower, star, upper in rows
             ))
     return EXIT_OK
@@ -401,12 +401,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         # The commands turn every I/O error but writing stdout into a CliError.
         return guard_stdout(lambda: args.func(args))
-    except CliError as e:
+    except (CliError, EventologyError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except EventologyError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return e.code if isinstance(e, CliError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ distributions and bitmask subset indexing.
 
 Each type checks its own invariant once, when it is built, and code that holds
 one does not check it again: an `EventSet` has 1 to MAX_EVENTS distinct labels
-(`check_event_count` is the only dense size guard), a `MarginalSet` one
+(`check_event_count` is the one size guard, for every cap), a `MarginalSet` one
 probability in [0, 1] per event, and a `TerraceDistribution` 2^N nonnegative
 integer numerators summing to its one denominator.  `make_event_set`,
 `default_event_set` and `validate_marginals` only coerce their arguments to
@@ -11,11 +11,11 @@ tuples and `Fraction`s; `default_event_set` runs the size guard on n first.
 The value types of the package are immutable `__slots__` classes on `Value`,
 equal when their class and fields are.
 
-Probabilities are carried as `fractions.Fraction` everywhere; decimals are a
-rendering concern only.  Subsets of an N-event set are plain ints in
-[0, 2^N): bit i corresponds to the i-th event in input order.  Event order is
-never silently re-sorted; reordering is an explicit transform (see
-:mod:`halfrare.transforms`).
+Probabilities are carried as `fractions.Fraction` everywhere, and text is read
+by `parse_probability` alone; decimals are a rendering concern only.  Subsets
+of an N-event set are plain ints in [0, 2^N): bit i corresponds to the i-th
+event in input order.  Event order is never silently re-sorted; reordering is
+an explicit transform (see :mod:`halfrare.transforms`).
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ MAX_EVENTS = 20
 #: of at most MAX_EVENTS such denominators, then stays under Python's
 #: 4,300-digit limit for printing an integer.
 MAX_PROBABILITY_DIGITS = 200
+
+#: Decimal places `format_decimal` rounds to unless told otherwise.
+DEFAULT_DIGITS = 6
 
 _CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
 
@@ -99,10 +102,10 @@ class Value:
     __delattr__ = __setattr__
 
 
-def check_event_count(n: int) -> None:
-    """The dense size guard: N events fit the 2^N tables only for N <= MAX_EVENTS."""
-    if n > MAX_EVENTS:
-        raise TooLarge(f"N={n} exceeds the dense cap {MAX_EVENTS}")
+def check_event_count(n: int, cap: int = MAX_EVENTS, what: str = "dense") -> None:
+    """The size guard: N events fit the `what` path only for N <= `cap`."""
+    if n > cap:
+        raise TooLarge(f"N={n} exceeds the {what} cap {cap}")
 
 
 class EventSet(Value):
@@ -197,13 +200,14 @@ class MarginalSet(Value):
         return p[0] <= HALF and all(p[i] >= p[i + 1] for i in range(len(p) - 1))
 
 
-def validate_marginals(events: EventSet, probs: Sequence[Fraction]) -> MarginalSet:
-    return MarginalSet(events, tuple(Fraction(p) for p in probs))
+def validate_marginals(events: EventSet, probs: Sequence) -> MarginalSet:
+    return MarginalSet(events, tuple(
+        parse_probability(p) if isinstance(p, str) else Fraction(p) for p in probs))
 
 
 def marginals_from_values(values: Sequence) -> MarginalSet:
     """Convenience: auto-named events with probabilities given as Fractions,
-    strings or ints."""
+    ints or strings, which `parse_probability` reads as `-p` does."""
     probs = tuple(values)
     return validate_marginals(default_event_set(len(probs)), probs)
 
@@ -280,7 +284,7 @@ def format_exact(nums: Sequence[int], den: int) -> list[str]:
             for num in nums]
 
 
-def format_decimal(nums: Sequence[int], den: int, digits: int = 6) -> list[str]:
+def format_decimal(nums: Sequence[int], den: int, digits: int = DEFAULT_DIGITS) -> list[str]:
     """Each num/den (den > 0) rounded half to even at `digits` decimal places,
     as `round(Fraction(num, den) * 10**digits)` rounds, trailing zeros trimmed."""
     scale = 10**digits

@@ -11,8 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bounds import boundary_distributions
-from .core import MarginalSet, indicator_string
-from .errors import TooLarge
+from .core import MarginalSet, check_event_count, indicator_string
 from .transforms import independent_epd
 
 #: Bars stop being legible past this many events.
@@ -33,8 +32,7 @@ def _y(value: Fraction) -> float:
 
 def render_figure(m: MarginalSet) -> str:
     """Fréchet-interval chart for a marginal set as an SVG 1.1 document."""
-    if m.n > MAX_FIGURE_EVENTS:
-        raise TooLarge(f"N={m.n} exceeds the figure cap {MAX_FIGURE_EVENTS}")
+    check_event_count(m.n, MAX_FIGURE_EVENTS, "figure")
     bd = boundary_distributions(m, _y)
     star = independent_epd(m)
     n = m.n

@@ -27,11 +27,12 @@ from .core import (
     MarginalSet,
     TerraceDistribution,
     Value,
+    check_event_count,
     check_subset,
     default_event_set,
     validate_marginals,
 )
-from .errors import Infeasible, TooLarge
+from .errors import Infeasible
 
 #: LP cap: 2^N atom variables keeps the tableau at most 64 columns wide.
 MAX_LP_EVENTS = 6
@@ -112,8 +113,7 @@ def lp_extremize_terrace(
 ) -> tuple[Fraction, TerraceDistribution]:
     """Exact optimum of atom(X) over all joints with marginals m, plus an
     attaining witness.  `direction` is "min" or "max"."""
-    if m.n > MAX_LP_EVENTS:
-        raise TooLarge(f"N={m.n} exceeds the LP cap {MAX_LP_EVENTS}")
+    check_event_count(m.n, MAX_LP_EVENTS, "LP")
     check_subset(x, m.n)
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")

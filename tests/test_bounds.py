@@ -84,6 +84,20 @@ class TestHalfRareFormulas:
         assert lower_bound_half_rare(1, h2) == F(2, 5)
         assert lower_bound_half_rare(2, h2) == 0
 
+    @pytest.mark.parametrize("probs", [(F(1, 5), F(9, 20)), (F(9, 10), F(1, 5))])
+    def test_lower_rejects_a_plain_set_outside_the_order(self, probs):
+        # Every subset is checked, not only those of the x < 2 branch.
+        m = marginals_from_values(probs)
+        with pytest.raises(NotHalfRare) as built:
+            HalfRareMarginalSet(m.events, m.probs)
+        for x in range(4):
+            with pytest.raises(NotHalfRare) as read:
+                lower_bound_half_rare(x, m)
+            assert str(read.value) == str(built.value)
+
+    def test_lower_reads_a_plain_set_in_the_order(self):
+        assert [lower_bound_half_rare(x, FIG_DOUBLET) for x in range(4)] == [F(3, 20), F(1, 20), 0, 0]
+
     @given(half_rare_sets())
     def test_agreement_with_general(self, h):
         upper = boundary_distributions(h).upper

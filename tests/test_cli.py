@@ -530,7 +530,9 @@ class TestPhenomenonCommand:
     ],
 )
 def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):
-    # A fresh process, so that an uncaught exception shows as a traceback.
+    # A fresh process, so that an uncaught exception shows as a traceback.  Dev
+    # mode shows warnings, and -W error makes each one, such as an unclosed
+    # file's, an error.
     if isinstance(doc, bytes):
         (tmp_path / "doc.json").write_bytes(doc)
     elif doc is not None:
@@ -541,7 +543,8 @@ def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):
     env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "halfrare", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "halfrare", *argv],
+        capture_output=True, text=True, env=env,
     )
     elapsed = time.perf_counter() - start
     assert proc.returncode == code
@@ -597,6 +600,19 @@ def test_oversized_input_rejected_before_any_probability_is_parsed(
     code, out, err = run(capsys, "bounds", *argv)
     assert (code, out, err) == (3, "", "error: N=21 exceeds the dense cap 20\n")
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["bounds", "-p", ",".join(["0.1"] * 21)], "N=21 exceeds the dense cap 20"),
+     (["verify", "-p", ",".join(["0.1"] * 7)], "N=7 exceeds the LP cap 6"),
+     (["figure", "-p", ",".join(["0.1"] * 9), "--out", "FIG"], "N=9 exceeds the figure cap 8")],
+    ids=["dense", "LP", "figure"],
+)
+def test_cap_messages(capsys, tmp_path, argv, message):
+    argv = [str(tmp_path / "fig.svg") if a == "FIG" else a for a in argv]
+    assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+    assert not (tmp_path / "fig.svg").exists()
 
 
 def test_readme_names_every_cli_option():
@@ -744,7 +760,7 @@ def test_stdout_write_error_exits_5(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
-            [sys.executable, "-m", "halfrare", *argv],
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "halfrare", *argv],
             stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
         )
     assert proc.returncode == 5
@@ -770,7 +786,8 @@ def test_closed_stdout_is_a_write_error(tmp_path, argv, code):
     argv = [str(tmp_path / "fig.svg") if a == "FIG" else a for a in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
     proc = subprocess.run(
-        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "halfrare", *argv],
+        ["sh", "-c", 'exec "$@" >&-', "sh",
+         sys.executable, "-X", "dev", "-W", "error", "-m", "halfrare", *argv],
         stderr=subprocess.PIPE, text=True, env=env, timeout=60,
     )
     assert proc.returncode == code

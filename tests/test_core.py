@@ -32,6 +32,8 @@ from halfrare.errors import (
     ProbabilityOutOfRange,
     TooLarge,
 )
+from halfrare.figure import render_figure
+from halfrare.oracle import lp_extremize_terrace
 
 
 class TestEventSet:
@@ -52,6 +54,19 @@ class TestEventSet:
         with pytest.raises(TooLarge):
             make_event_set([f"x{i}" for i in range(21)])
         make_event_set([f"x{i}" for i in range(20)])  # cap itself is fine
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [(lambda: default_event_set(21), "N=21 exceeds the dense cap 20"),
+         (lambda: lp_extremize_terrace(0, marginals_from_values([0] * 7), "min"),
+          "N=7 exceeds the LP cap 6"),
+         (lambda: render_figure(marginals_from_values([0] * 9)), "N=9 exceeds the figure cap 8")],
+        ids=["dense", "LP", "figure"],
+    )
+    def test_cap_messages(self, build, message):
+        with pytest.raises(TooLarge) as e:
+            build()
+        assert str(e.value) == message
 
     def test_direct_construction_checks(self):
         with pytest.raises(EmptySet):
@@ -174,6 +189,23 @@ class TestRationals:
                      f"1e{cap + 1}", "1e-2000000"):
             with pytest.raises(ValueError):
                 parse_probability(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("0.4_5", "'0.4_5' is not a decimal or a fraction a/b, b > 0"),
+         ("1e-201", "'1e-201' exceeds 200 digits")],
+        ids=["separator", "digits"],
+    )
+    def test_library_text_is_read_as_the_cli_reads_it(self, text, message):
+        # Digit separators would pass Fraction() from Python 3.11 on.
+        for read in (parse_probability, lambda t: marginals_from_values([t])):
+            with pytest.raises(ValueError) as e:
+                read(text)
+            assert str(e.value) == message
+
+    def test_library_values_keep_their_value(self):
+        m = marginals_from_values([" 1/3 ", "1e-200", Fraction(1, 3), 1])
+        assert m.probs == (Fraction(1, 3), Fraction(1, 10**200), Fraction(1, 3), Fraction(1))
 
     @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=6))
     def test_decimal_round_trip(self, mantissa, places):
