@@ -55,6 +55,16 @@ same_stdout bounds -p "$n11" --format json
 same_stdout bounds -p "$n11" --format csv --exact
 same_stdout bounds -p "$n11" --format table --digits 640
 same_stdout bounds -p "$n11" --format json --digits 0
+# Values longer than 12 characters widen their table columns.
+same_stdout bounds -p 0.45,1/3 --digits 14
+# A decimal prints no int of more than --digits digits, so the --digits cap
+# runs under Python's lowest integer string limit as under the default one.
+for format in table json csv; do
+    env -u PYTHONPATH halfrare bounds -p "$n11" --format "$format" --digits 640 > default.out
+    env -u PYTHONPATH PYTHONINTMAXSTRDIGITS=640 \
+        halfrare bounds -p "$n11" --format "$format" --digits 640 > limited.out
+    cmp default.out limited.out
+done
 same_stdout phenomenon -p "$n11" --kept x2,x5,x9
 same_stdout verify -p 0.45,0.40
 # verify writes each report as it is made.

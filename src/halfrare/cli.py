@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from decimal import Decimal
@@ -110,12 +111,14 @@ def _load_marginals(args: argparse.Namespace) -> MarginalSet:
     return validate_marginals(events, probs)
 
 
-def _fmt(args: argparse.Namespace) -> Callable[[Sequence[int], int], list[str]]:
-    """The column formatter: numerators, their shared denominator -> texts."""
+def _fmt(args: argparse.Namespace, m: MarginalSet) -> tuple[Callable, int]:
+    """The column formatter (numerators, their denominator -> texts) and its longest
+    text's length for `m`: each value is in [0, 1], over a divisor of d = prod den(p)."""
     if args.exact:
-        return format_exact
+        d = math.prod(p.denominator for p in m.probs)
+        return format_exact, len(f"{d - 1}/{d}")
     digits = DEFAULT_DIGITS if args.digits is None else args.digits
-    return lambda nums, den: format_decimal(nums, den, digits)
+    return lambda nums, den: format_decimal(nums, den, digits), len("0.") + digits
 
 
 def _half_table(labels: Sequence[str], sep: str) -> tuple[list[str], list[str]]:
@@ -164,7 +167,7 @@ _JSON_ITEM_SEP = ",\n        "
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     m = _load_marginals(args)
-    fmt = _fmt(args)
+    fmt, widest = _fmt(args, m)
     out = sys.stdout
     if args.format == "json":
         # The bytes of json.dump({"N": n, "rows": [...]}, indent=2), written
@@ -190,16 +193,15 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                 for w, head, lower, star, upper in rows
             ))
     else:
-        # The full set's label string is the longest one.
-        width = max(12, len("+".join(m.events.labels)) + 2)
+        # At least 12 wide: the labels column fits the full set's label string,
+        # the longest one, and a value column the longest value text.
+        width, v = max(12, len("+".join(m.events.labels)) + 2), max(12, widest)
         # The subset column fits "subset" and an indicator string, then a space.
-        gap = " " * max(3, 7 - m.n)
-        out.write(f"{'subset':<{m.n + len(gap)}}{'labels':<{width}} {'lower':>12} {'star':>12} {'upper':>12}\n")
+        line = f"{{:<{max(m.n + 3, 7)}}}{{:<{width}}} {{:>{v}}} {{:>{v}}} {{:>{v}}}\n".format
+        out.write(line("subset", "labels", "lower", "star", "upper"))
         for word, tail, rows in _bound_rows(m, fmt, m.events.labels, "+"):
-            out.write("".join(
-                f"{w}{word}{gap}{(head + tail).ljust(width)} {lower:>12} {star:>12} {upper:>12}\n"
-                for w, head, lower, star, upper in rows
-            ))
+            out.write("".join(line(w + word, head + tail, lower, star, upper)
+                              for w, head, lower, star, upper in rows))
     return EXIT_OK
 
 
@@ -282,7 +284,7 @@ def cmd_phenomenon(args: argparse.Namespace) -> int:
     # Complementing p_c and renumbering X -> X xor C leave every bound
     # unchanged, so the transformed table is the table of the transformed
     # marginals.
-    fmt = _fmt(args)
+    fmt = _fmt(args, transformed)[0]
     out = sys.stdout
     out.write("marginals: " + ", ".join(
         f"{lab}={fmt((p.numerator,), p.denominator)[0]}"

@@ -180,7 +180,7 @@ def parse_probability(text: str) -> Fraction:
 
 
 class MarginalSet(Value):
-    """Per-event probabilities for an ordered event set, each in [0, 1]."""
+    """Per-event probabilities, ints or `Fraction`s in [0, 1], for an ordered event set."""
 
     __slots__ = ("events", "probs")
 
@@ -188,6 +188,8 @@ class MarginalSet(Value):
         if len(self.probs) != self.events.n:
             raise LengthMismatch(f"{len(self.probs)} probabilities for {self.events.n} events")
         for i, p in enumerate(self.probs):
+            if not isinstance(p, (int, Fraction)):
+                raise TypeError(f"probability #{i} is a {type(p).__name__}, not exact")
             if not ZERO <= p <= ONE:
                 raise ProbabilityOutOfRange(i, p)
 
@@ -202,12 +204,12 @@ class MarginalSet(Value):
 
 def validate_marginals(events: EventSet, probs: Sequence) -> MarginalSet:
     return MarginalSet(events, tuple(
-        parse_probability(p) if isinstance(p, str) else Fraction(p) for p in probs))
+        parse_probability(str(p)) if isinstance(p, (str, float)) else Fraction(p) for p in probs))
 
 
 def marginals_from_values(values: Sequence) -> MarginalSet:
     """Convenience: auto-named events with probabilities given as Fractions,
-    ints or strings, which `parse_probability` reads as `-p` does."""
+    ints, or strings and floats, whose text `parse_probability` reads: 0.1 is 1/10."""
     probs = tuple(values)
     return validate_marginals(default_event_set(len(probs)), probs)
 
@@ -285,8 +287,9 @@ def format_exact(nums: Sequence[int], den: int) -> list[str]:
 
 
 def format_decimal(nums: Sequence[int], den: int, digits: int = DEFAULT_DIGITS) -> list[str]:
-    """Each num/den (den > 0) rounded half to even at `digits` decimal places,
-    as `round(Fraction(num, den) * 10**digits)` rounds, trailing zeros trimmed."""
+    """Each num/den, a probability (0 <= num <= den), rounded half to even at
+    `digits` places as `round(Fraction(num, den) * 10**digits)` rounds: "0", "1",
+    or "0." and at most `digits` digits, trailing zeros trimmed."""
     scale = 10**digits
     twice_scale, twice_den = 2 * scale, 2 * den
     texts = []
@@ -295,7 +298,5 @@ def format_decimal(nums: Sequence[int], den: int, digits: int = DEFAULT_DIGITS) 
         q, rest = divmod(twice_scale * num + den, twice_den)
         if not rest and q & 1:
             q -= 1
-        whole, frac = divmod(abs(q), scale)
-        texts.append(f"{'-' if q < 0 else ''}{whole}"
-                     + ("." + str(scale + frac)[1:].rstrip("0") if frac else ""))
+        texts.append("0." + str(q).zfill(digits).rstrip("0") if 0 < q < scale else "1" if q else "0")
     return texts

@@ -230,6 +230,46 @@ def test_table_columns_line_up_under_the_header(capsys, n):
         assert row[labels_at - 1] == " " and row[labels_at] == "x", row
 
 
+@pytest.mark.parametrize("probs, extra, length", [
+    ("0.45,1/3", ["--digits", "14"], 7 + 12 + 3 * (1 + len("0.") + 14)),
+    # Up to 971230540/971230541, the product of the denominators less 1 over it.
+    ("1/997,1/991,1/983", ["--exact"], 7 + 12 + 3 * (1 + 19)),
+], ids=["digits", "exact"])
+def test_value_columns_fit_their_longest_text(capsys, probs, extra, length):
+    _, out, _ = run(capsys, "bounds", "-p", probs, *extra)
+    assert {len(line) for line in out.splitlines()} == {length}
+
+
+@given(tied_marginal_sets(max_n=8))
+def test_decimals_are_formatted_only_in_the_unit_interval(m):
+    # format_decimal writes a probability, 0 <= num <= den, and nothing else.
+    columns = []
+
+    def recording(nums, den, digits):
+        columns.append((nums, den))
+        return format_decimal(nums, den, digits)
+
+    probs = ",".join(str(p) for p in m.probs)
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+        patch.setattr(cli, "format_decimal", recording)
+        for argv in (["bounds", "--format", "table"], ["bounds", "--format", "json"],
+                     ["bounds", "--format", "csv"], ["phenomenon", "--kept", "x1"]):
+            assert main([*argv, "-p", probs]) == 0
+    assert columns and all(0 <= num <= den for nums, den in columns for num in nums)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_most_digits_print_under_the_lowest_int_string_limit(capsys, fmt):
+    # No int of more than --digits digits is printed, so the cap fits the limit.
+    argv = ["bounds", "-p", "1/3,2/7", "--digits", "640", "--format", fmt]
+    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]),
+               PYTHONINTMAXSTRDIGITS="640")
+    proc = subprocess.run([sys.executable, "-m", "halfrare", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert main(argv) == 0
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", capsys.readouterr().out)
+
+
 def test_json_table_same_with_unbuffered_stdout():
     probs = ",".join(["0.45", "0.4", "0.35", "0.3", "0.25", "0.2"] * 2)
     argv = [sys.executable, "-m", "halfrare", "bounds", "-p", probs, "--format", "json"]

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,12 @@ class TestMarginals:
             MarginalSet(es, (Fraction(3, 2),))
         with pytest.raises(LengthMismatch):
             MarginalSet(es, (Fraction(1, 2), Fraction(1, 2)))
+        # Only exact items: a float, say, would fail later, in the bounds.
+        for item, kind in ((0.5, "float"), (Decimal("0.5"), "Decimal"), ("1/2", "str")):
+            with pytest.raises(TypeError) as e:
+                MarginalSet(default_event_set(2), (1, item))
+            assert str(e.value) == f"probability #1 is a {kind}, not exact"
+        assert MarginalSet(default_event_set(2), (1, 0)).probs == (1, 0)
 
     def test_all_zero_is_valid(self):
         m = marginals_from_values([0, 0, 0])
@@ -204,11 +211,27 @@ class TestRationals:
             assert str(e.value) == message
 
     def test_library_values_keep_their_value(self):
-        m = marginals_from_values([" 1/3 ", "1e-200", Fraction(1, 3), 1])
-        assert m.probs == (Fraction(1, 3), Fraction(1, 10**200), Fraction(1, 3), Fraction(1))
+        # A float is read as written, not by its binary value.
+        m = marginals_from_values([" 1/3 ", "1e-200", Fraction(1, 3), 1, 0.1, 1e-05])
+        assert m.probs == (Fraction(1, 3), Fraction(1, 10**200), Fraction(1, 3), Fraction(1),
+                           Fraction(1, 10), Fraction(1, 10**5))
 
-    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=6))
-    def test_decimal_round_trip(self, mantissa, places):
+    @pytest.mark.parametrize(
+        "value, message",
+        [(float("nan"), "'nan' is not a decimal or a fraction a/b, b > 0"),
+         (float("-inf"), "'-inf' is not a decimal or a fraction a/b, b > 0"),
+         (1e-300, "'1e-300' exceeds 200 digits")],
+        ids=["nan", "inf", "digits"],
+    )
+    def test_library_floats_are_read_as_text(self, value, message):
+        with pytest.raises(ValueError) as e:
+            marginals_from_values([value])
+        assert str(e.value) == message
+
+    @given(st.integers(1, 6).flatmap(
+        lambda places: st.tuples(st.integers(0, 10**places), st.just(places))))
+    def test_decimal_round_trip(self, case):
+        mantissa, places = case  # a value in [0, 1]
         text = f"{mantissa // 10**places}.{mantissa % 10**places:0{places}d}"
         q = parse_probability(text)
         assert parse_probability(format_decimal([q.numerator], q.denominator, places)[0]) == q
@@ -247,27 +270,38 @@ DIGITS = st.one_of(st.integers(0, 40), st.just(640))
 
 
 @st.composite
+def unit_columns(draw):
+    """(nums, den): numerators of probabilities over one denominator, often 0
+    and den."""
+    den = draw(st.integers(1, 10**30))
+    return draw(st.lists(st.sampled_from([0, den]) | st.integers(0, den), max_size=8)), den
+
+
+@st.composite
 def tie_columns(draw):
     """(nums, den, digits): numerators over one denominator den = 2 * 10^d * b,
     so that 10^d * num / den is q exactly for num = 2bq and the tie k + 1/2
-    for num = (2k + 1) * b.  The column mixes negatives, 0, den, ties with k
-    even and odd, and values at and next to q = 0, 1, 10^d - 1 and 10^d."""
+    for num = (2k + 1) * b.  The column mixes 0, den, ties with k even and
+    odd next to 0 and to 1, and values at and next to q = 0, 1, 10^d - 1 and
+    10^d: every num/den lies in [0, 1]."""
     digits = draw(DIGITS)
     b = draw(st.integers(1, 10**12))
     scale, den = 10**digits, 2 * 10**digits * b
     item = st.one_of(
-        st.sampled_from([0, den, -den]),
-        st.integers(-(10**3), 10**3).map(lambda k: (2 * k + 1) * b),
+        st.sampled_from([0, den]),
+        (st.integers(0, min(10**3, scale - 1)) | st.integers(max(0, scale - 10**3), scale - 1))
+        .map(lambda k: (2 * k + 1) * b),
         st.tuples(st.sampled_from([0, 1, scale - 1, scale]), st.integers(-1, 1)).map(
-            lambda t: 2 * b * t[0] + t[1]),
-        st.integers(-2 * den, 2 * den),
+            lambda t: 2 * b * t[0] + t[1]).filter(lambda num: 0 <= num <= den),
+        st.integers(0, den),
     )
     return draw(st.lists(item, min_size=1, max_size=12)), den, digits
 
 
 class TestIntegerRounding:
-    @given(st.lists(st.integers(-(10**30), 10**30), max_size=8), st.integers(1, 10**30), DIGITS)
-    def test_random_fractions(self, nums, den, digits):
+    @given(unit_columns(), DIGITS)
+    def test_random_fractions(self, column, digits):
+        nums, den = column
         assert format_decimal(nums, den, digits) == [
             reference_format_decimal(Fraction(num, den), digits) for num in nums
         ]
@@ -281,7 +315,8 @@ class TestIntegerRounding:
         assert format_exact(nums, den) == [str(Fraction(num, den)) for num in nums]
 
     def test_ties_of_both_parities(self):
-        assert format_decimal([1, 3, -1, -3], 2, 0) == ["0", "2", "0", "-2"]
+        assert format_decimal([1], 2, 0) == ["0"]
+        assert format_decimal([1, 3, 5, 19], 20, 1) == ["0", "0.2", "0.2", "1"]
         assert format_decimal([25, 35], 1000, 2) == ["0.02", "0.04"]
 
     def test_every_digit_count(self):

@@ -6,7 +6,9 @@ bounds columns were filled from the two half renumbering tables, the
 ones before each report was written as it was made, and the `figure` ones
 before each SVG element was written from one template, so any change to a
 byte of any output shows here.  The `--format table` digests for N <= 3 were
-recorded again when the rows' value columns were aligned under the header's."""
+recorded again when the rows' value columns were aligned under the header's,
+and the `table-digits640` and N >= 10 `table-exact` ones when each value column
+widened to fit the longest text it can hold."""
 
 import contextlib
 import hashlib
@@ -60,7 +62,7 @@ DIGESTS = {
     "n1-general/table": "b44e1e2fd561910069630122fee2862cefe899c0407659ad2d4feeec51e5e5bb",
     "n1-general/table-exact": "59f7d65ea7e56bb79c7f896bbddfddc6dadc287b770ad7dbff6ad4f690d58956",
     "n1-general/table-digits0": "304d01c5349aac57e4698af2c3e554397433cf48914b81ad6e5964c6e77e0e12",
-    "n1-general/table-digits640": "b44e1e2fd561910069630122fee2862cefe899c0407659ad2d4feeec51e5e5bb",
+    "n1-general/table-digits640": "e851e4771ad4e3d2b3f5d0514c0e37bdf1a5e59240ff172e0d2ad0cc35da3f94",
     "n1-general/json": "c033f88a41baab3e9704b5369b99ac0ff5200736e9ee157d04cf75601259da34",
     "n1-general/json-exact": "4c7d3ac5656ee8de2531d5089ae0ff252970e965647b40150b8a966dfaa94948",
     "n1-general/json-digits0": "0a5c8c67626a279c8f059e85e859a43f6a2209b7a84607556a984921d4804b64",
@@ -72,7 +74,7 @@ DIGESTS = {
     "n1-half-rare/table": "77b43996d93462b3f030597f7647da597b274ee5097b9db60b7a41300c04b0aa",
     "n1-half-rare/table-exact": "cba95292dad68dd13bf8b42d1b68a4da0457fdf23448e635efd04920211b5da8",
     "n1-half-rare/table-digits0": "1cf5f75272dd5f4c4d0db4e8b26142d19ea2cca57afa4a9b321e360c1c7c37ab",
-    "n1-half-rare/table-digits640": "77b43996d93462b3f030597f7647da597b274ee5097b9db60b7a41300c04b0aa",
+    "n1-half-rare/table-digits640": "f8bc74aff009ef4db0f2973b038f221f4c83310e6a6b340f84b1c555395cf68d",
     "n1-half-rare/json": "2cec384192df472cbeb66ed91e68a478b4c3a4611aeba80d857ed699910f94f2",
     "n1-half-rare/json-exact": "eabe887fc720d7fe1b6a6ff03bf05bef6f14b69e11b7a8ea67fd1163836d0827",
     "n1-half-rare/json-digits0": "f570eb36ffcc60ffbd119c43c09403ccb8b76292ab330a21f4bbf1b885bbd9e5",
@@ -84,7 +86,7 @@ DIGESTS = {
     "n2-general/table": "86c6e4dc011f6ef7ea904f0664834928a14b26745f4d81920c6f10d24c1edd52",
     "n2-general/table-exact": "86c6e4dc011f6ef7ea904f0664834928a14b26745f4d81920c6f10d24c1edd52",
     "n2-general/table-digits0": "86c6e4dc011f6ef7ea904f0664834928a14b26745f4d81920c6f10d24c1edd52",
-    "n2-general/table-digits640": "86c6e4dc011f6ef7ea904f0664834928a14b26745f4d81920c6f10d24c1edd52",
+    "n2-general/table-digits640": "e342d67848970743f23ce2e9e50a23ac8d2049e2be56c26d57fe64ca8f3cc3c8",
     "n2-general/json": "e373f7e22a3389eecd2bb3878cc808b02bef156a30f3f37d4dad16bbbe56eb15",
     "n2-general/json-exact": "e373f7e22a3389eecd2bb3878cc808b02bef156a30f3f37d4dad16bbbe56eb15",
     "n2-general/json-digits0": "e373f7e22a3389eecd2bb3878cc808b02bef156a30f3f37d4dad16bbbe56eb15",
@@ -96,7 +98,7 @@ DIGESTS = {
     "n2-half-rare/table": "65dbb38e67c6c0eec1533aa28fe6b74e19fa096cff821ee2410f5201da7c9b7b",
     "n2-half-rare/table-exact": "09945e2f302ff1142949068109cdd8421159186caf56c4a6657a1603a204573c",
     "n2-half-rare/table-digits0": "54fdf3a6d13f01daed017b04281e64b0813f99fda6c9016d3180d4a020d06b05",
-    "n2-half-rare/table-digits640": "65dbb38e67c6c0eec1533aa28fe6b74e19fa096cff821ee2410f5201da7c9b7b",
+    "n2-half-rare/table-digits640": "6f08496fb5a1826ac299f757a7f31e01cb00ce05f2fd008e885c9ae40038f5e3",
     "n2-half-rare/json": "dcd23b77364def394bedcf5cd532a8cb1866cc257b72152f2c68f20100622251",
     "n2-half-rare/json-exact": "d4d5c851ba578c51c065753abac894e6e7dd159cdabd9fc630923b1839e31fbf",
     "n2-half-rare/json-digits0": "f95d8b7207529ded2a35e1b9f0e796458ff7813d8e8b177b0a1879a47db856b3",
@@ -108,7 +110,7 @@ DIGESTS = {
     "n3-general/table": "5066c2d05e9dadcef2e3a42accbd0018e67be6f39e6e906ce506f8db6b7b5814",
     "n3-general/table-exact": "7a28943e486fb54d1e088694fd760b6d9430bede74d0ead8d8e0af99f0c233e3",
     "n3-general/table-digits0": "319e58a7d95d521732afe160b19e3c53784252be17d361b3a7d6b7482568cff3",
-    "n3-general/table-digits640": "5066c2d05e9dadcef2e3a42accbd0018e67be6f39e6e906ce506f8db6b7b5814",
+    "n3-general/table-digits640": "7573b7aff5983a0cd2a16600136e7cee65648b00de70af670ca10d6a92dc7df6",
     "n3-general/json": "f75e9d63e5d1a1336f9b3b115a50a355564f051952ddb486d7273228ba9f1a3a",
     "n3-general/json-exact": "c7e85056b4db54e22a3049e270148a944c696e859196a042c8f020e4432be1ff",
     "n3-general/json-digits0": "ed818eb2aa566df5b053847c8e7110f069f3b9393d51a584b04cd679ff33df29",
@@ -120,7 +122,7 @@ DIGESTS = {
     "n3-half-rare/table": "003b984ef1e7bd91f956c7fb5087f60244a759584e1603832705798953f92501",
     "n3-half-rare/table-exact": "5009c5408b569d44cc3c8932a7f2e913369eebc9e08d9401fa8f22b42653b6da",
     "n3-half-rare/table-digits0": "c6f6f2789510aee4056e42156df08688c7c04bd9db68438c30584cdf795c14e0",
-    "n3-half-rare/table-digits640": "155ef0bc27596c11e4cec787a6e6cac4887d77f0761c0f1d531a4cd931a9bd70",
+    "n3-half-rare/table-digits640": "d05b5aaab48cf5db5f3aea8e2c6c8c9d74eea0eb4f5c354843fb6762865d1886",
     "n3-half-rare/json": "c6617bff58f361f81291b129ae629f98b02fe44f314a2b68fe1161e267df682a",
     "n3-half-rare/json-exact": "a52e94bcbdb3914fa0a42786b53b3d22e076e01685fd35c98d67896beb8c33e7",
     "n3-half-rare/json-digits0": "32f2443d6f5b7f06860d3f7eb5170fdb433b9ecd727f0bbeeaa2689e66af3889",
@@ -130,9 +132,9 @@ DIGESTS = {
     "n3-half-rare/csv-digits0": "3bf7241f88bd6d04d7a684ca63020f5a0eb97438917b7874b4df59743a360914",
     "n3-half-rare/csv-digits640": "6fd2a87671e92e174b77a83a15d40cedcc3ba9c96718b49ae37c9d1d17ba9e66",
     "n10-general/table": "9dcf4e1b26b759a5c8174248af12888a9815a40bdbdeb4d8fd3af9c9cf8ea382",
-    "n10-general/table-exact": "3ef5fedfc1c6a30f64b7b6cd877c9d163a5d5c462d0273555ffc605e206d0ff2",
+    "n10-general/table-exact": "18c09e08939354436e613d3c4e4ee6f160df45778dd0149391bc05858650911a",
     "n10-general/table-digits0": "47ca33f67bf5b627d01174f241da66183dc3bdf64d0e254d5c52f0e69742ec2e",
-    "n10-general/table-digits640": "7939bfa7ca55dbd5d0adc12ad11c303ffa8093fee9b5a28cb22eb0792fe601df",
+    "n10-general/table-digits640": "f3dc7129e9ac3519a56cffcc09aa8bfb1d3c365356d4b7d0397cc9d5447fd1dd",
     "n10-general/json": "6a8cfbedf41fc666152920ce99d287d517ceef5c0c520abf63fc9908b1d87f4e",
     "n10-general/json-exact": "607a681efc3880e46ea09d75cdbc34f504d48a965f13b56999b2ede387cd157b",
     "n10-general/json-digits0": "09306994116ff291c6639bf97212ebaa6c8376550a01670e84daf5d041fc4c37",
@@ -142,9 +144,9 @@ DIGESTS = {
     "n10-general/csv-digits0": "d965296037ecd05bc0830251748773c84de31352ce50918b1d97cd22476ad627",
     "n10-general/csv-digits640": "529f4892c030a285c1b95573d15a1538f9f23e16d57cfa3f249d8638bf52543d",
     "n10-half-rare/table": "d8fef5cf8dfe1fe0bb8232d244509518597d9f6f42e75dd9918c7118b0e1fcf0",
-    "n10-half-rare/table-exact": "7e4d164f7de196ebe9eafe4cf1296a2c767bf33689de60b16dfae96592ae3486",
+    "n10-half-rare/table-exact": "19357fe59137d239571d61279f3ac281e54d5f29886d4f0bb242dad94aff82e7",
     "n10-half-rare/table-digits0": "47ca33f67bf5b627d01174f241da66183dc3bdf64d0e254d5c52f0e69742ec2e",
-    "n10-half-rare/table-digits640": "8cb7680f14f75e8bdf92b794da80893030b67ae16d171cf2792867da184c2868",
+    "n10-half-rare/table-digits640": "8b806b7fb9d4361d0e1d2155d536f62149cc944d3e6fe31af3be5019318b4adc",
     "n10-half-rare/json": "5b8254a45f897553963d02a3f0e9076a1a23b0c31f48a3282e039baf4c9b918a",
     "n10-half-rare/json-exact": "9d8088acd148e1ad9d6e5adb2977c6478007de9bb4bb445b188e275acc2936b3",
     "n10-half-rare/json-digits0": "09306994116ff291c6639bf97212ebaa6c8376550a01670e84daf5d041fc4c37",
@@ -154,9 +156,9 @@ DIGESTS = {
     "n10-half-rare/csv-digits0": "d965296037ecd05bc0830251748773c84de31352ce50918b1d97cd22476ad627",
     "n10-half-rare/csv-digits640": "1b7b1637a7b39d0cf02e7f5c6ea1b3a8cfa3cde07761a5a0c15b57d99367f39d",
     "n11-general/table": "59ab533c11ee2a70df153970c37ecf0da4933edc59ee1ca087180ce61f3e49d7",
-    "n11-general/table-exact": "6a777d8eaf99064a2759af75b33987ab375bdfb744ab2863f05951c3990496b7",
+    "n11-general/table-exact": "76d12a8cf331d3f95c6a142faddaa1402949026b7194c5e946149f7dd9f97db9",
     "n11-general/table-digits0": "87892595f0306ea9f7d0b2672aea797741493bd49aa04cba9646505d76566909",
-    "n11-general/table-digits640": "41bbea01f042de65eb8b4dd4b433a054d91e2ba89fd1b91bf8cc03c90d29fe6a",
+    "n11-general/table-digits640": "207028a25fec57edbcd35b10599e9881a29918de0a2767d09a5b1e8616232ae9",
     "n11-general/json": "baf2df1442c11bf3f8c4b423ee753acf7384c4351ab01583ca361eeee9da5fac",
     "n11-general/json-exact": "4089ad302ade12147b317df40e84e7de5352a80abcf1ca46e42baab93eee3199",
     "n11-general/json-digits0": "585666ef43c4569072dd42dc957b19550dfd9cdbc464009cc196b90ee3480119",
@@ -166,9 +168,9 @@ DIGESTS = {
     "n11-general/csv-digits0": "590c22ea70ab19be606050d72a038a049844353179d9cb65a490ef9027ec04f9",
     "n11-general/csv-digits640": "89c8cc838b55cf000342ffb6e5812a2ec50a2b4a24a017f275f5e6ced33f64c9",
     "n11-half-rare/table": "7ecf27738bd765d6d4671d1705adfaaa8faeaa99737810b858361ea3b0652345",
-    "n11-half-rare/table-exact": "82615cc92039bfeb6c4e7ae370e655c59697f0228ded6ad333b506f98914977f",
+    "n11-half-rare/table-exact": "1c8f79251371d29323f0152b4ff8a759c19385a543d0bea4667e503d31593ec7",
     "n11-half-rare/table-digits0": "87892595f0306ea9f7d0b2672aea797741493bd49aa04cba9646505d76566909",
-    "n11-half-rare/table-digits640": "eb1d299f58e9efd99ad99890c265df601ccbf66db0628e558357a69fcbcfe8f1",
+    "n11-half-rare/table-digits640": "143eeed01aaa67f8c00143a2a65a908a42c337f52349e20791b640a39ccbd830",
     "n11-half-rare/json": "d0b7d8eb0e54c3f97f80a7673e5a7a2c9dd8d67f671dbfc6d404e5e0f7e24845",
     "n11-half-rare/json-exact": "881fe28b1d065846021bab85ab4c789b9ed5c4e3ca0f6b69faf771255d9d0e9a",
     "n11-half-rare/json-digits0": "585666ef43c4569072dd42dc957b19550dfd9cdbc464009cc196b90ee3480119",
@@ -180,7 +182,7 @@ DIGESTS = {
     "n5-labelled/table": "37a450109ecb3bac08a5e2b63819ac6ea2bb32dfd4803247cf8bc238939001c4",
     "n5-labelled/table-exact": "9bf3b08bec41179e44a64cf26c0dfee1163b439d9dbea3b6fdd89c482c83d632",
     "n5-labelled/table-digits0": "eb042458c89877002c60bb3492d1db57f275f0778c6f33101d060c5458d5dffd",
-    "n5-labelled/table-digits640": "5e430c8afe1525cf15f0d3ac013cc3e93a4cca80eb42f9f0d5038800d58c7067",
+    "n5-labelled/table-digits640": "00ed6a6942c3c08f0cce185ee761a5bc069915e409c8f997352ebb757d15d62a",
     "n5-labelled/json": "30dcbfffa453e9b2d622290bcae34a6bca2bd4cc612caa1e98dbec6ba12fe6c0",
     "n5-labelled/json-exact": "373a4fb8de24098fc363983edfbb47ae691ab22d0e08c6e201ce9433e029ef52",
     "n5-labelled/json-digits0": "20c316c14d9128ed95777579e72b8169727fedb09a7b44bb1c3dc1e6c07623bd",
