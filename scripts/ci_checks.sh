@@ -65,11 +65,23 @@ for format in table json csv; do
         halfrare bounds -p "$n11" --format "$format" --digits 640 > limited.out
     cmp default.out limited.out
 done
+# An exact star denominator of 800 digits is over the lowest limit: exit 3
+# and one error line, with nothing written to stdout.
+nines=1/$(printf '9%.0s' $(seq 200))
+code=0
+env -u PYTHONPATH PYTHONINTMAXSTRDIGITS=640 halfrare bounds -p "$nines,$nines,$nines,$nines" \
+    --exact --format csv > limited.out 2> limited.err || code=$?
+test "$code" -eq 3
+test ! -s limited.out
+test "$(wc -l < limited.err)" -eq 1
+grep -q '^error: exact output exceeds the 640-digit integer string limit$' limited.err
 same_stdout phenomenon -p "$n11" --kept x2,x5,x9
 same_stdout verify -p 0.45,0.40
 # verify writes each report as it is made.
 same_stdout verify --random 3 --n 3 --seed 7
 same_stdout verify --random 2 --n 2 --half-rare
+# N=6 is the LP cap; its integer simplex runs it in well under a second.
+same_stdout verify --random 2 --n 6 --seed 1
 same_stdout phenomenon -p 0.45,0.40 --kept ""
 # An -i document: a label with a comma, one with a quote, and a probability
 # written as a 34-digit JSON number, which must be read digit for digit.

@@ -111,11 +111,19 @@ def _load_marginals(args: argparse.Namespace) -> MarginalSet:
     return validate_marginals(events, probs)
 
 
+def _exact_den(d: int) -> int:
+    """d, a common denominator of an exact output, if its digits fit Python's int string limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (none) before 3.10.7
+    if limit and d.bit_length() > 3 * limit and d >= 10**limit:  # 10**limit has > 3 limit bits
+        raise CliError(EXIT_VALIDATION, f"exact output exceeds the {limit}-digit integer string limit")
+    return d
+
+
 def _fmt(args: argparse.Namespace, m: MarginalSet) -> tuple[Callable, int]:
     """The column formatter (numerators, their denominator -> texts) and its longest
     text's length for `m`: each value is in [0, 1], over a divisor of d = prod den(p)."""
     if args.exact:
-        d = math.prod(p.denominator for p in m.probs)
+        d = _exact_den(math.prod(p.denominator for p in m.probs))
         return format_exact, len(f"{d - 1}/{d}")
     digits = DEFAULT_DIGITS if args.digits is None else args.digits
     return lambda nums, den: format_decimal(nums, den, digits), len("0.") + digits
@@ -242,6 +250,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # json.dump(reports, indent=2)'s bytes, each report as soon as it is made.
     error = None
     for k, r in enumerate(map(_oracle.verify_bounds, instances)):
+        # Every denominator in a report divides one of its witnesses'.
+        _exact_den(max(w.den for s in r.records for w in (s.witness_min, s.witness_max)))
         report = json.dumps(_report_dict(r), indent=2).replace("\n", "\n  ")
         sys.stdout.write((",\n  " if k else "[\n  ") + report)
         sys.stdout.flush()

@@ -255,13 +255,6 @@ class TerraceDistribution(Value):
         if total != self.den or total == 0:
             raise ProbabilityOutOfRange("total", f"{total}/{self.den}")
 
-    @classmethod
-    def from_atoms(cls, events: EventSet, atoms: Sequence[Fraction]) -> TerraceDistribution:
-        """The distribution with these `Fraction` atoms, over their least
-        common denominator."""
-        nums, den = over_common_denominator(atoms)
-        return cls(events, tuple(nums), den)
-
     @property
     def atoms(self) -> tuple[Fraction, ...]:
         """The atoms as `Fraction`s, each reduced."""

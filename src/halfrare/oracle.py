@@ -2,19 +2,21 @@
 
 Each terrace probability is extremized over the polytope of joint
 distributions with the given marginals (2^N atom variables, N+1 equality
-constraints, atoms >= 0).  The solver is a dense one-phase simplex over exact
-rationals with Bland's rule.  It starts at the comonotone joint, a vertex whose
-basis is the chain of cells {} < {s1} < {s1, s2} < ..., s sorting the events by
-descending p.  That basis is unit triangular and its inverse is a difference
-operator, so the start tableau is written from the marginals alone, with no
-pivot, and the closed forms play no part in the search.  Optima compare to the
-closed forms by exact equality, and every reported witness is a vertex of the
-polytope, returned as a `TerraceDistribution`.  `lp_extremize_terrace` is the
-one place the LP cap MAX_LP_EVENTS is checked.
+constraints, atoms >= 0).  The solver is a dense one-phase simplex with Bland's
+rule, in integers: its pivots are fraction-free (Edmonds 1967, Bareiss 1968).
+It starts at the comonotone joint, a vertex whose basis is the chain of cells
+{} < {s1} < {s1, s2} < ..., s sorting the events by descending p.  That basis
+is unit triangular and its inverse is a difference operator, so the start
+tableau is written from the marginals alone, with no pivot, and the closed
+forms play no part in the search.  Optima compare to the closed forms by exact
+equality, and every reported witness is a vertex of the polytope, returned as a
+`TerraceDistribution`.  `lp_extremize_terrace` is the one place the LP cap
+MAX_LP_EVENTS is checked.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -22,14 +24,13 @@ from itertools import accumulate
 from .bounds import boundary_distributions
 from .core import (
     HALF,
-    ONE,
-    ZERO,
     MarginalSet,
     TerraceDistribution,
     Value,
     check_event_count,
     check_subset,
     default_event_set,
+    over_common_denominator,
     validate_marginals,
 )
 from .errors import Infeasible
@@ -55,81 +56,77 @@ class VerificationReport(Value):
         return self.first_mismatch() is None
 
     def first_mismatch(self) -> SubsetRecord | None:
-        for r in self.records:
-            if not r.matches:
-                return r
-        return None
+        return next((r for r in self.records if not r.matches), None)
 
 
-def _simplex(tableau: list[list[Fraction]], basis: list[int]) -> None:
-    """Minimize the objective in the last tableau row; Bland's rule, exact
-    arithmetic."""
-    obj = tableau[-1]
+def _simplex(tableau: list[list[int]], basis: list[int]) -> int:
+    """Minimize the objective in the last row by Bland's rule, keeping the
+    integer tableau d times the true one, and return d.  A pivot on p > 0 sets
+    every other row to (p row - f pivot_row) // d, then d = p (Edmonds-Bareiss):
+    every entry is a minor of the start tableau, so each division is exact."""
+    d = 1
     while True:
-        col = next((j for j in range(len(obj) - 1) if obj[j] < ZERO), -1)
+        col = next((j for j, v in enumerate(tableau[-1][:-1]) if v < 0), -1)
         if col < 0:
-            return
-        row, best = -1, None
-        for r in range(len(tableau) - 1):
-            a = tableau[r][col]
-            if a > ZERO:
-                ratio = tableau[r][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[row]):
-                    row, best = r, ratio
+            return d
+        row = -1
+        for r, trow in enumerate(tableau[:-1]):
+            a = trow[col]
+            # b_r / a against the least ratio yet, cross-multiplied; ties to the lower cell.
+            if a > 0 and (row < 0 or (trow[-1] * tableau[row][col], basis[r])
+                          < (tableau[row][-1] * a, basis[row])):
+                row = r
         if row < 0:
             raise Infeasible("unbounded LP over a probability polytope")
-        piv = tableau[row][col]
-        prow = tableau[row] = [v / piv for v in tableau[row]]
+        prow, p = tableau[row], tableau[row][col]
         for r, trow in enumerate(tableau):
-            if r != row and trow[col]:
+            if r != row:
                 f = trow[col]
-                tableau[r] = [v - f * w for v, w in zip(trow, prow)]
-        basis[row] = col
-        obj = tableau[-1]
+                tableau[r] = [(p * v - f * w) // d for v, w in zip(trow, prow)]
+        basis[row], d = col, p
 
 
-def _vertex_tableau(m: MarginalSet) -> tuple[list[list[Fraction]], list[int]]:
-    """B^-1 [A | b] at the comonotone joint, A having the rows [1 ... 1 | 1]
-    and [indicator_i | p_i].  Row k holds the chain cell c_k = {s_1, ..., s_k},
-    s sorting the events by descending p, ties in input order.  Column w reads
-    [s_k in w] - [s_(k+1) in w] and the right-hand side p_(k) - p_(k+1) >= 0,
+def _vertex_tableau(m: MarginalSet) -> tuple[list[list[int]], list[int], int]:
+    """B^-1 [A | D b] at the comonotone joint, its basis and D, the marginals'
+    least common denominator; [A | b] has the rows [1 ... 1 | 1] and
+    [indicator_i | p_i].  Row k holds the chain cell c_k = {s_1, ..., s_k}, s
+    sorting the events by descending p, ties in input order.  Column w reads
+    [s_k in w] - [s_(k+1) in w] and the right-hand side D (p_(k) - p_(k+1)) >= 0,
     with s_0 in every cell and s_(N+1) in none, p_(0) = 1 and p_(N+1) = 0.  It
     is B^-1 because c_k holds s_j exactly for k >= j: summed over all k the
     rows telescope to the ones row, and over k >= j to the row of s_j."""
     ncells = 1 << m.n
     order = sorted(range(m.n), key=lambda i: -m.probs[i])
     inside = [[1] * ncells] + [[w >> i & 1 for w in range(ncells)] for i in order] + [[0] * ncells]
-    p = [ONE] + [m.probs[i] for i in order] + [ZERO]
-    unit = (ZERO, ONE, -ONE)  # indexed by a difference in {0, 1, -1}
+    nums, den = over_common_denominator([m.probs[i] for i in order])
+    p = [den, *nums, 0]
     tableau = [
-        [unit[a - b] for a, b in zip(inside[k], inside[k + 1])] + [p[k] - p[k + 1]]
+        [a - b for a, b in zip(inside[k], inside[k + 1])] + [p[k] - p[k + 1]]
         for k in range(m.n + 1)
     ]
-    return tableau, list(accumulate((1 << i for i in order), int.__or__, initial=0))
+    return tableau, list(accumulate((1 << i for i in order), int.__or__, initial=0)), den
 
 
 def lp_extremize_terrace(
     x: int, m: MarginalSet, direction: str
 ) -> tuple[Fraction, TerraceDistribution]:
     """Exact optimum of atom(X) over all joints with marginals m, plus an
-    attaining witness.  `direction` is "min" or "max"."""
+    attaining witness in lowest terms.  `direction` is "min" or "max"."""
     check_event_count(m.n, MAX_LP_EVENTS, "LP")
     check_subset(x, m.n)
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
-    tableau, basis = _vertex_tableau(m)
-    ncells = 1 << m.n
-    sign = ONE if direction == "min" else -ONE
-    obj = [ZERO] * (ncells + 1)
-    obj[x] = sign
-    if x in basis:
-        obj = [v - sign * w for v, w in zip(obj, tableau[basis.index(x)])]
-    tableau.append(obj)
-    _simplex(tableau, basis)
-    atoms = [ZERO] * ncells
-    for r, j in enumerate(basis):
-        atoms[j] = tableau[r][-1]
-    return atoms[x], TerraceDistribution.from_atoms(m.events, atoms)
+    tableau, basis, den = _vertex_tableau(m)
+    sign = 1 if direction == "min" else -1
+    # sign atom(X) less its basic part: the reduced costs at the start vertex.
+    start = tableau[basis.index(x)] if x in basis else [0] * len(tableau[0])
+    tableau.append([sign * ((w == x) - v) for w, v in enumerate(start)])
+    den *= _simplex(tableau, basis)  # the atoms: the right-hand sides over D d
+    rhs = {j: row[-1] for j, row in zip(basis, tableau)}
+    atoms = [rhs.get(w, 0) for w in range(1 << m.n)]
+    g = math.gcd(den, *atoms)
+    return Fraction(atoms[x], den), TerraceDistribution(
+        m.events, tuple(a // g for a in atoms), den // g)
 
 
 def verify_bounds(m: MarginalSet) -> VerificationReport:

@@ -260,17 +260,13 @@ class TestDoublet:
 class TestCovariance:
     def test_upper_attainment(self):
         # Mass of y pushed entirely inside x: p(xy) = p_y.
-        d = TerraceDistribution.from_atoms(
-            default_event_set(2), (F(11, 20), F(1, 20), F(0), F(2, 5))
-        )
+        d = TerraceDistribution(default_event_set(2), (11, 1, 0, 8), 20)
         cb = covariance_bounds_doublet(*FIG_DOUBLET.probs)
         assert d[3] - independent_epd(FIG_DOUBLET)[3] == cb.intervals[3][1] == F(11, 50)
 
     def test_lower_attainment(self):
         # x and y disjoint: p(xy) = 0.
-        d = TerraceDistribution.from_atoms(
-            default_event_set(2), (F(3, 20), F(9, 20), F(2, 5), F(0))
-        )
+        d = TerraceDistribution(default_event_set(2), (3, 9, 8, 0), 20)
         cb = covariance_bounds_doublet(*FIG_DOUBLET.probs)
         assert d[3] - independent_epd(FIG_DOUBLET)[3] == cb.intervals[3][0] == F(-9, 50)
 

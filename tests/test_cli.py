@@ -270,6 +270,39 @@ def test_most_digits_print_under_the_lowest_int_string_limit(capsys, fmt):
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", capsys.readouterr().out)
 
 
+_NINES = "1/" + "9" * 200
+_COPRIME = ",".join(f"1/{10**199 + k}" for k in (1, 3, 7, 9))
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "-p", ",".join([_NINES] * 4), "--exact", "--format", "csv"],
+    ["phenomenon", "-p", ",".join([_NINES] * 4), "--kept", "x1", "--exact"],
+    ["verify", "-p", _COPRIME],
+], ids=["bounds", "phenomenon", "verify"])
+def test_exact_output_over_the_int_string_limit_exits_3(argv):
+    # Denominators of 800 digits: stopped before any output, not a traceback.
+    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]),
+               PYTHONINTMAXSTRDIGITS="640")
+    proc = subprocess.run([sys.executable, "-m", "halfrare", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: exact output exceeds the 640-digit integer string limit\n"
+
+
+@pytest.mark.parametrize("last, code", [(10**160, 3), (10**160 - 1, 0)],
+                         ids=["641-digits", "640-digits"])
+def test_exact_output_at_the_int_string_limit(capsys, last, code):
+    # A common denominator of 10^640 has 641 digits; 10^640 - 10^480 has 640.
+    argv = ["bounds", "-p", ",".join(f"1/{den}" for den in [10**160] * 3 + [last]), "--exact"]
+    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]),
+               PYTHONINTMAXSTRDIGITS="640")
+    proc = subprocess.run([sys.executable, "-m", "halfrare", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert main(argv) == 0
+    assert proc.returncode == code
+    assert proc.stdout == ("" if code else capsys.readouterr().out)
+
+
 def test_json_table_same_with_unbuffered_stdout():
     probs = ",".join(["0.45", "0.4", "0.35", "0.3", "0.25", "0.2"] * 2)
     argv = [sys.executable, "-m", "halfrare", "bounds", "-p", probs, "--format", "json"]

@@ -3,6 +3,7 @@ itself: for small N the polytope's basic solutions are enumerated directly by
 exact Gaussian elimination over every column subset, so the simplex optimum is
 validated against a second, unrelated exact method."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,9 +20,9 @@ from halfrare import (
     verify_bounds,
 )
 from halfrare.errors import IndexOutOfRange, TooLarge
-from halfrare.oracle import _vertex_tableau
+from halfrare.oracle import _simplex, _vertex_tableau
 
-from conftest import marginal_sets
+from conftest import marginal_sets, tied_marginal_sets
 
 F = Fraction
 
@@ -113,7 +114,7 @@ class TestStartVertex:
     @example(marginals_from_values([F(1, 3)] * 5))
     @example(marginals_from_values([1, 0]))
     def test_written_start_is_basis_inverse(self, m):
-        tableau, basis = _vertex_tableau(m)
+        tableau, basis, den = _vertex_tableau(m)
         ncells = 1 << m.n
         assert len(tableau) == len(basis) == m.n + 1
         assert all(len(row) == ncells + 1 for row in tableau)
@@ -122,15 +123,44 @@ class TestStartVertex:
         def rebuild(col):
             return [sum(row[col] * a[i] for row, a in zip(tableau, chain)) for i in range(m.n + 1)]
 
-        # B T = [A | b], so T = B^-1 [A | b] once B is the basis it names.
+        # B T = [A | D b], so T = B^-1 [A | D b] once B is the basis it names.
         for w in range(ncells):
             assert rebuild(w) == _constraint_column(w, m.n)
-        assert rebuild(ncells) == [1, *m.probs]
+        assert rebuild(ncells) == [den, *(den * p for p in m.probs)]
         assert all(row[-1] >= 0 for row in tableau)
         # The basis is the comonotone chain: events added by descending p,
         # ties in input order.
         order = sorted(range(m.n), key=lambda i: (-m.probs[i], i))
         assert basis == [sum(1 << i for i in order[:k]) for k in range(m.n + 1)]
+
+
+class TestIntegerPivots:
+    @settings(max_examples=200)
+    @given(marginal_sets(max_n=6) | tied_marginal_sets(max_n=6), st.integers(0, 63),
+           st.sampled_from([1, -1]))
+    @example(marginals_from_values([0, F(1, 2), 1, F(1, 2), 0, 1]), 63, -1)
+    @example(random_marginals(6, 1), 21, 1)
+    def test_final_tableau_is_d_times_the_true_one(self, m, cell, sign):
+        ncells = 1 << m.n
+        x = cell % ncells
+        tableau, basis, den = _vertex_tableau(m)
+        # The objective sign * atom(X), less its basic part, as the LP writes it.
+        start = tableau[basis.index(x)] if x in basis else [0] * (ncells + 1)
+        tableau.append([sign * ((w == x) - v) for w, v in enumerate(start)])
+        d = _simplex(tableau, basis)
+        assert d > 0
+        # d I in the basis columns, the objective row 0 there.
+        for r, j in enumerate(basis):
+            assert [row[j] for row in tableau] == [d * (k == r) for k in range(m.n + 2)]
+        # B T = d [A | D b] and the reduced costs are d c - c_B T: a floor
+        # division that dropped a remainder breaks one of them.
+        chain = [_constraint_column(c, m.n) for c in basis]
+        for w in range(ncells + 1):
+            column = [sum(row[w] * a[i] for row, a in zip(tableau, chain)) for i in range(m.n + 1)]
+            want = _constraint_column(w, m.n) if w < ncells else [den, *(den * p for p in m.probs)]
+            assert column == [d * v for v in want]
+            basic = tableau[basis.index(x)][w] if x in basis else 0
+            assert tableau[-1][w] == sign * (d * (w == x) - basic)
 
 
 class TestLpExtremize:
@@ -164,6 +194,15 @@ class TestLpExtremize:
         for x in range(1 << m.n):
             assert lp_extremize_terrace(x, m, "min")[0] >= bd.lower[x]
             assert lp_extremize_terrace(x, m, "max")[0] <= bd.upper[x]
+
+    @settings(max_examples=50)
+    @given(marginal_sets(max_n=6) | tied_marginal_sets(max_n=6))
+    @example(marginals_from_values([0, F(1, 2), 1, F(1, 2), 0, 1]))
+    @example(random_marginals(6, 3))
+    def test_witnesses_in_lowest_terms(self, m):
+        for r in verify_bounds(m).records:
+            for w in (r.witness_min, r.witness_max):
+                assert math.gcd(w.den, *w.numerators) == 1
 
     def test_too_large(self):
         with pytest.raises(TooLarge):

@@ -3,9 +3,10 @@
 `figure` writes.  The table digests were recorded from the writers before the
 bounds columns were filled from the two half renumbering tables, the
 `--digits 640` ones before the formatters took a whole column, the `verify`
-ones before each report was written as it was made, and the `figure` ones
-before each SVG element was written from one template, so any change to a
-byte of any output shows here.  The `--format table` digests for N <= 3 were
+ones before each report was written as it was made (the N = 6 ones before the
+simplex pivoted in integers), and the `figure` ones before each SVG element
+was written from one template, so any change to a byte of any output shows
+here.  The `--format table` digests for N <= 3 were
 recorded again when the rows' value columns were aligned under the header's,
 and the `table-digits640` and N >= 10 `table-exact` ones when each value column
 widened to fit the longest text it can hold."""
@@ -45,11 +46,15 @@ MODES = {
 LABELLED = {"events": ["", "a,b", '"', "é", "x"],
             "probabilities": ["0.7", "1/2", "0.2", "0", "1/3"]}
 
-#: `verify` reports: one input set, and K random sets, general and half-rare.
+#: `verify` reports: one input set, and K random sets, general and half-rare;
+#: then the same at the LP cap N = 6, the input set tied and holding 0 and 1.
 VERIFY = {
     "verify-p": ["verify", "-p", "0.45,0.40"],
     "verify-random": ["verify", "--random", "3", "--n", "3", "--seed", "7"],
     "verify-random-half-rare": ["verify", "--random", "2", "--n", "2", "--half-rare"],
+    "verify-p-n6": ["verify", "-p", "0,1/2,1,1/2,0,1"],
+    "verify-random-n6": ["verify", "--random", "2", "--n", "6", "--seed", "1"],
+    "verify-random-half-rare-n6": ["verify", "--random", "2", "--n", "6", "--half-rare"],
 }
 
 #: `figure` charts: the penta-plet, and a general N=8 set at the figure cap.
@@ -195,6 +200,9 @@ DIGESTS = {
     "verify-p": "d8f35ad2a43aadfe275ceeda556052dd7704cb3b3a6c03f7ef6a80ec3a6dad27",
     "verify-random": "6e2a751a090a113bcaee2aeb42b8cfd0e02f534c8d3d5e854d115497ba03c4d5",
     "verify-random-half-rare": "d7bc339c0a28780a5377c4b0cacc791083d5773648869c0f8251b4141c8042f4",
+    "verify-p-n6": "82cd238b58b7fc232e421730d4c9e74fffa2a25eb6600cba44c6055817b2a96e",
+    "verify-random-n6": "1a1be76a68dbf5c8b5938ebdc730be3ad6bb57558a43356c81be11e1a0bff25d",
+    "verify-random-half-rare-n6": "fa39ca20144dab63b0bd8196e57166f54b5860f4a31b8c74fd02f20046b8e64d",
     "figure-pentaplet": "ad9088b7035255359ee49680799b100e8d2ff28fae3b5e73e635659b5f715b11",
     "figure-n8-general": "57ab38a9452d2c37761e88645a713d40abd5ce34678573a7cc3621ca23349872",
 }
