@@ -7,6 +7,9 @@
 #
 # It tests the `halfrare` found on PATH.  In CI that is the installed entry
 # point; README "Tests" shows a stand-in for a tree that is not installed.
+# A behaviour check lives in tier-1.  This script adds only what an installed
+# package can show: that the console script prints and draws what `python -m
+# halfrare` does, and that the README scripts run.
 set -eu
 
 if [ $# -ne 0 ]; then
@@ -57,24 +60,6 @@ same_stdout bounds -p "$n11" --format table --digits 640
 same_stdout bounds -p "$n11" --format json --digits 0
 # Values longer than 12 characters widen their table columns.
 same_stdout bounds -p 0.45,1/3 --digits 14
-# A decimal prints no int of more than --digits digits, so the --digits cap
-# runs under Python's lowest integer string limit as under the default one.
-for format in table json csv; do
-    env -u PYTHONPATH halfrare bounds -p "$n11" --format "$format" --digits 640 > default.out
-    env -u PYTHONPATH PYTHONINTMAXSTRDIGITS=640 \
-        halfrare bounds -p "$n11" --format "$format" --digits 640 > limited.out
-    cmp default.out limited.out
-done
-# An exact star denominator of 800 digits is over the lowest limit: exit 3
-# and one error line, with nothing written to stdout.
-nines=1/$(printf '9%.0s' $(seq 200))
-code=0
-env -u PYTHONPATH PYTHONINTMAXSTRDIGITS=640 halfrare bounds -p "$nines,$nines,$nines,$nines" \
-    --exact --format csv > limited.out 2> limited.err || code=$?
-test "$code" -eq 3
-test ! -s limited.out
-test "$(wc -l < limited.err)" -eq 1
-grep -q '^error: exact output exceeds the 640-digit integer string limit$' limited.err
 same_stdout phenomenon -p "$n11" --kept x2,x5,x9
 same_stdout verify -p 0.45,0.40
 # verify writes each report as it is made.
@@ -84,39 +69,19 @@ same_stdout verify --random 2 --n 2 --half-rare
 same_stdout verify --random 2 --n 6 --seed 1
 same_stdout phenomenon -p 0.45,0.40 --kept ""
 # An -i document: a label with a comma, one with a quote, and a probability
-# written as a 34-digit JSON number, which must be read digit for digit.
+# written as a 34-digit JSON number.
 printf '%s\n' '{"events": ["a,b", "say \"hi\"", "c"],' \
     '"probabilities": [0.1000000000000000055511151231257827, "1/3", 0.75]}' > doc.json
 same_stdout bounds -i doc.json --format csv --exact
-# p^+({a,b}) is the first probability itself.
-grep -qx '100,"a,b",0,[0-9/]*,1000000000000000055511151231257827/10000000000000000000000000000000000' installed.out
 same_stdout phenomenon -i doc.json --kept c
 probs=0.45,0.40,0.35,0.30,0.25
 env -u PYTHONPATH halfrare figure -p "$probs" --out installed.svg
 PYTHONPATH="$root/src" python -m halfrare figure -p "$probs" --out module.svg
 cmp installed.svg module.svg
-# A closed stdout is a write error too: exit 5 and one error line.  Dev mode,
-# with warnings as errors, turns an unclosed file's warning into a second line.
-code=0
-env -u PYTHONPATH PYTHONDEVMODE=1 PYTHONWARNINGS=error halfrare bounds -p 0.45,0.40 >&- 2> closed.err || code=$?
-test "$code" -eq 5
-test "$(wc -l < closed.err)" -eq 1
-grep -q '^error: cannot write standard output: ' closed.err
 
 echo "== README scripts"
 cd "$root"
 PYTHONPATH=src python3 scripts/verification_sweep.py --count 12 --n-max 4
 PYTHONPATH=src python3 scripts/render_figures.py "$tmp/figures"
-# A closed stdout fails them as it fails halfrare: exit 5 and one error line.
-for run in "verification_sweep.py --count 4 --n-max 3" "render_figures.py $tmp/closed-figures"; do
-    set -- $run
-    script=$1
-    shift
-    code=0
-    PYTHONPATH=src python3 "scripts/$script" "$@" >&- 2> "$tmp/closed.err" || code=$?
-    test "$code" -eq 5
-    test "$(wc -l < "$tmp/closed.err")" -eq 1
-    grep -q '^error: cannot write standard output: ' "$tmp/closed.err"
-done
 
 echo "== All CI checks passed"

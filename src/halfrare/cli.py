@@ -2,11 +2,12 @@
 transforms and SVG interval charts.
 
 Exit codes: 0 ok, 2 parse error, 3 validation error, 4 verification failure,
-5 I/O error.  Any error writing standard output ends the run with exit 5 and
-one `error:` line; a reader that closes it early (`halfrare bounds ... | head
--2`) does so silently.  `guard_stdout`, shared with the README scripts, then
-points stdout at devnull, as the "Note on SIGPIPE" in the Python `signal`
-docs advises, so the interpreter's last flush does not fail again.  `main(argv)`
+5 I/O error.  Any error writing standard output, an encoding error included,
+ends the run with exit 5 and one `error:` line; a reader that closes it early
+(`halfrare bounds ... | head -2`) does so silently.  `guard_stdout`, shared
+with the README scripts, then points stdout at devnull, as the "Note on
+SIGPIPE" in the Python `signal` docs advises, so the interpreter's last flush
+does not fail again.  `main(argv)`
 can be called repeatedly in one process: it builds its parser on the first
 call and keeps it, as parsing leaves a parser unchanged.
 
@@ -398,8 +399,10 @@ def guard_stdout(run: Callable[[], int]) -> int:
         code = run()
         sys.stdout.flush()
         return code
-    except OSError as e:
-        # Keep the final flush from failing again.  A closed pipe: no message.
+    except (OSError, UnicodeEncodeError) as e:
+        # Labels are checked as UTF-8 text when read, so an encoding error can
+        # only come from a stdout that cannot encode one.  Keep the final flush
+        # from failing again.  A closed pipe: no message.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -5,9 +5,10 @@ Each type checks its own invariant once, when it is built, and code that holds
 one does not check it again: an `EventSet` has 1 to MAX_EVENTS distinct labels
 (`check_event_count` is the one size guard, for every cap), a `MarginalSet` one
 probability in [0, 1] per event, and a `TerraceDistribution` 2^N nonnegative
-integer numerators summing to its one denominator.  `make_event_set`,
-`default_event_set` and `validate_marginals` only coerce their arguments to
-tuples and `Fraction`s; `default_event_set` runs the size guard on n first.
+integer numerators summing to its one denominator.  `make_event_set` and
+`default_event_set` only build the labels' tuple, and `default_event_set` runs
+the size guard on n first; `validate_marginals` reads text and floats through
+`parse_probability` and turns other numbers into `Fraction`s.
 The value types of the package are immutable `__slots__` classes on `Value`,
 equal when their class and fields are.
 
@@ -50,6 +51,7 @@ MAX_PROBABILITY_DIGITS = 200
 DEFAULT_DIGITS = 6
 
 _CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
+_WHOLE = re.compile(r"[+-]?(\d*)")
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -140,7 +142,7 @@ def default_event_set(n: int) -> EventSet:
 
 
 def check_subset(x: int, n: int) -> None:
-    if not 0 <= x < (1 << n):
+    if not (isinstance(x, int) and 0 <= x < (1 << n)):
         raise IndexOutOfRange(f"subset index {x} not in [0, 2^{n})")
 
 
@@ -154,10 +156,10 @@ def parse_probability(text: str) -> Fraction:
     """Parse a decimal ("0.45") or fraction ("9/20") string exactly.
 
     The size is checked on the text, before the `Fraction` is built: a decimal
-    may have at most MAX_PROBABILITY_DIGITS places (and an exponent of at most
-    that magnitude), a fraction at most that many digits on either side.  Digit
-    separators ("0.4_5") are rejected on every Python.  Every failure is a
-    ValueError quoting at most the first 24 characters."""
+    may have at most MAX_PROBABILITY_DIGITS places, integer digits as written,
+    and exponent magnitude, a fraction at most that many digits on either side.
+    Digit separators ("0.4_5") are rejected on every Python.  Every failure is
+    a ValueError quoting at most the first 24 characters."""
     text = text.strip()
     num, slash, den = text.partition("/")
     if slash:
@@ -166,8 +168,12 @@ def parse_probability(text: str) -> Fraction:
         try:
             exponent = Decimal(text).as_tuple().exponent
         except InvalidOperation:
-            exponent = 0  # not a number: Fraction rejects it below
-        digits = abs(exponent) if isinstance(exponent, int) else 0
+            exponent = None  # not a number: Fraction rejects it below
+        # Places or exponent, and the integer digits as written: 1e200 has one.
+        if isinstance(exponent, int):  # not inf or nan either
+            digits = max(abs(exponent), len(_WHOLE.match(text)[1]))
+        else:
+            digits = 0
     if digits > MAX_PROBABILITY_DIGITS:
         raise ValueError(f"{text[:24]!r} exceeds {MAX_PROBABILITY_DIGITS} digits")
     try:
@@ -248,10 +254,14 @@ class TerraceDistribution(Value):
             raise LengthMismatch(
                 f"{len(self.numerators)} atoms for N={self.events.n} (need {1 << self.events.n})"
             )
+        total = sum(self.numerators)
+        if not isinstance(total, int):  # an int only when every numerator is one
+            raise TypeError(f"numerators must be ints, but sum to a {type(total).__name__}")
+        if not isinstance(self.den, int):
+            raise TypeError(f"den must be an int, not a {type(self.den).__name__}")
         if min(self.numerators) < 0:
             x = next(x for x, a in enumerate(self.numerators) if a < 0)
             raise ProbabilityOutOfRange(x, Fraction(self.numerators[x], self.den))
-        total = sum(self.numerators)
         if total != self.den or total == 0:
             raise ProbabilityOutOfRange("total", f"{total}/{self.den}")
 

@@ -39,7 +39,8 @@ class PhenomenonMap(Value):
     __slots__ = ("kept", "order")
 
     def __post_init__(self) -> None:
-        if sorted(self.order) != list(range(self.n)):
+        order = self.order
+        if sorted(order) != list(range(self.n)) or not all(isinstance(i, int) for i in order):
             raise IndexOutOfRange(f"order {self.order} is not a permutation of 0..{self.n - 1}")
         check_subset(self.kept, self.n)
 

@@ -37,6 +37,11 @@ from conftest import independent_value, tied_marginal_sets
 
 F = Fraction
 
+#: The environment of a child process: the checkout's src/ on its path.
+_CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
+#: The same under Python's lowest settable integer string limit.
+_LIMITED_ENV = dict(_CHILD_ENV, PYTHONINTMAXSTRDIGITS="640")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -100,18 +105,21 @@ class TestBoundsCommand:
         assert json.loads(out)["rows"][1]["labels"] == ["a"]
 
     def test_json_numbers_are_read_as_written(self, capsys, tmp_path):
-        # A JSON number keeps its own digits, as the same digits in a string do;
-        # read through a float, the first would print 1/10 and 1e400 'inf'.
+        # A JSON number keeps its own digits, as the same digits in a string do,
+        # beside another number too; read through a float, the first would
+        # print 1/10 and 1e400 'inf'.
         digits = "0.1000000000000000055511151231257827"
         outs = []
         for item in (digits, f'"{digits}"'):
             path = tmp_path / "m.json"
-            path.write_text(f'{{"events": ["a"], "probabilities": [{item}]}}')
+            path.write_text(f'{{"events": ["a,b", "c"], "probabilities": [{item}, 0.75]}}')
             code, out, _ = run(capsys, "bounds", "-i", str(path), "--format", "csv", "--exact")
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
-        assert outs[0].splitlines()[2].split(",")[3] == str(F(digits))
+        # Event "a,b" alone: its star is p/4, and its upper bound p itself.
+        p = F(digits)
+        assert list(csv.reader(outs[0].splitlines()))[2] == ["10", "a,b", "0", str(p / 4), str(p)]
         path.write_text('{"events": ["a"], "probabilities": [1e400]}')
         code, out, err = run(capsys, "bounds", "-i", str(path))
         assert (code, out) == (2, "")
@@ -261,13 +269,13 @@ def test_decimals_are_formatted_only_in_the_unit_interval(m):
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 def test_most_digits_print_under_the_lowest_int_string_limit(capsys, fmt):
     # No int of more than --digits digits is printed, so the cap fits the limit.
-    argv = ["bounds", "-p", "1/3,2/7", "--digits", "640", "--format", fmt]
-    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]),
-               PYTHONINTMAXSTRDIGITS="640")
-    proc = subprocess.run([sys.executable, "-m", "halfrare", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert main(argv) == 0
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", capsys.readouterr().out)
+    # N=11 splits into halves of 5 and 6 events, and holds 0, 1 and p > 1/2.
+    for probs in ("1/3,2/7", "0.9,0.1,0.5,1,0,2/3,1/3,0.75,0.25,0.6,0.6"):
+        argv = ["bounds", "-p", probs, "--digits", "640", "--format", fmt]
+        proc = subprocess.run([sys.executable, "-m", "halfrare", *argv],
+                              capture_output=True, text=True, env=_LIMITED_ENV, timeout=60)
+        assert main(argv) == 0
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", capsys.readouterr().out)
 
 
 _NINES = "1/" + "9" * 200
@@ -281,10 +289,8 @@ _COPRIME = ",".join(f"1/{10**199 + k}" for k in (1, 3, 7, 9))
 ], ids=["bounds", "phenomenon", "verify"])
 def test_exact_output_over_the_int_string_limit_exits_3(argv):
     # Denominators of 800 digits: stopped before any output, not a traceback.
-    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]),
-               PYTHONINTMAXSTRDIGITS="640")
     proc = subprocess.run([sys.executable, "-m", "halfrare", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_LIMITED_ENV, timeout=60)
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == "error: exact output exceeds the 640-digit integer string limit\n"
 
@@ -294,10 +300,8 @@ def test_exact_output_over_the_int_string_limit_exits_3(argv):
 def test_exact_output_at_the_int_string_limit(capsys, last, code):
     # A common denominator of 10^640 has 641 digits; 10^640 - 10^480 has 640.
     argv = ["bounds", "-p", ",".join(f"1/{den}" for den in [10**160] * 3 + [last]), "--exact"]
-    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]),
-               PYTHONINTMAXSTRDIGITS="640")
     proc = subprocess.run([sys.executable, "-m", "halfrare", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_LIMITED_ENV, timeout=60)
     assert main(argv) == 0
     assert proc.returncode == code
     assert proc.stdout == ("" if code else capsys.readouterr().out)
@@ -306,11 +310,11 @@ def test_exact_output_at_the_int_string_limit(capsys, last, code):
 def test_json_table_same_with_unbuffered_stdout():
     probs = ",".join(["0.45", "0.4", "0.35", "0.3", "0.25", "0.2"] * 2)
     argv = [sys.executable, "-m", "halfrare", "bounds", "-p", probs, "--format", "json"]
-    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
-    env.pop("PYTHONUNBUFFERED", None)
-    buffered = subprocess.run(argv, capture_output=True, env=env, timeout=60)
-    unbuffered = subprocess.run(argv, capture_output=True, env=dict(env, PYTHONUNBUFFERED="1"),
-                                timeout=60)
+    # An empty PYTHONUNBUFFERED leaves stdout buffered.
+    buffered = subprocess.run(argv, capture_output=True, env=dict(_CHILD_ENV, PYTHONUNBUFFERED=""),
+                              timeout=60)
+    unbuffered = subprocess.run(argv, capture_output=True,
+                                env=dict(_CHILD_ENV, PYTHONUNBUFFERED="1"), timeout=60)
     assert buffered.returncode == unbuffered.returncode == 0
     assert buffered.stdout.count(b'"subset"') == 2**12
     assert (buffered.stdout, buffered.stderr) == (unbuffered.stdout, unbuffered.stderr)
@@ -518,6 +522,8 @@ class TestPhenomenonCommand:
         (["bounds", "-i", "DOC"], {"events": ["a", "\x1b[2J"], "probabilities": ["0.4", "0.1"]}, 3),
         (["bounds", "-p", ",".join(["1/" + "9" * 200] * 11 + ["1/" + "9" * 201])], None, 2),
         (["bounds", "-p", "0.5," + "7" * 300 + "x"], None, 2),
+        (["bounds", "-p", "9" * 250], None, 2),
+        (["bounds", "-p", "0.5," + "9" * 5000], None, 2),
         (["bounds", "-p", "1e200"], None, 3),
         (["bounds", "-i", "DOC"],
          {"events": ["a"], "probabilities": ["3" + "0" * 198 + "1/" + "1" * 200]}, 3),
@@ -575,6 +581,8 @@ class TestPhenomenonCommand:
         "label-escape",
         "long-list-one-too-long",
         "long-non-numeric",
+        "long-integer-part",
+        "integer-part-over-the-int-string-limit",
         "out-of-range-200-digits",
         "input-out-of-range-200-digit-fraction",
         "input-long-non-numeric",
@@ -613,11 +621,10 @@ def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):
     argv = [str(tmp_path / "doc.json") if a == "DOC" else a for a in argv]
     if argv[0] == "figure":
         argv += ["--out", str(tmp_path / "fig.svg")]
-    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", "-m", "halfrare", *argv],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_CHILD_ENV,
     )
     elapsed = time.perf_counter() - start
     assert proc.returncode == code
@@ -647,10 +654,9 @@ def test_huge_random_n_exits_3():
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "halfrare", "verify", "--random", "1", "--n", "1000000000000"],
-        capture_output=True, text=True, env=env, timeout=20, preexec_fn=cap_memory,
+        capture_output=True, text=True, env=_CHILD_ENV, timeout=20, preexec_fn=cap_memory,
     )
     assert proc.returncode == 3
     assert proc.stderr == "error: N=1000000000000 exceeds the dense cap 20\n"
@@ -713,17 +719,15 @@ def test_readme_names_every_public_name():
 def test_cli_import_leaves_dataclasses_and_inspect_out():
     # Together they cost about 20 ms of every CLI run's start-up.  -S keeps
     # whatever the site packages import out of the count.
-    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys, halfrare.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_CHILD_ENV,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_cli_import_builds_no_parser():
-    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
     code = (
         "import argparse\n"
         "built = []\n"
@@ -735,7 +739,8 @@ def test_cli_import_builds_no_parser():
         "import halfrare.cli\n"
         "print(len(built))\n"
     )
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=_CHILD_ENV)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
@@ -782,11 +787,10 @@ def test_reused_parser_prints_what_a_fresh_process_does(capsys):
     for argv, code in earlier:
         assert exit_code(argv) == code, argv
     capsys.readouterr()
-    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
     for argv in (["bounds", "-p", "0.45,0.4,1/3"], ["verify", "-p", "0.45,0.4"]):
         assert main(argv) == 0
         fresh = subprocess.run([sys.executable, "-m", "halfrare", *argv],
-                               capture_output=True, text=True, env=env, timeout=60)
+                               capture_output=True, text=True, env=_CHILD_ENV, timeout=60)
         assert fresh.returncode == 0
         assert capsys.readouterr().out == fresh.stdout, argv
 
@@ -807,10 +811,9 @@ def test_perfbench_span_targets_resolve():
 
 
 def test_closed_pipe_exits_5():
-    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
     with subprocess.Popen(
         [sys.executable, "-m", "halfrare", "bounds", "-p", ",".join(["0.3"] * 12)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_CHILD_ENV,
     ) as proc:
         # 4,097 lines overflow the pipe, so the writer is still writing when
         # the reader goes.
@@ -830,11 +833,10 @@ def test_closed_pipe_exits_5():
     ids=["table", "csv", "csv-past-buffer", "verify"],
 )
 def test_stdout_write_error_exits_5(argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-X", "dev", "-W", "error", "-m", "halfrare", *argv],
-            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_CHILD_ENV, timeout=60,
         )
     assert proc.returncode == 5
     assert "Traceback" not in proc.stderr
@@ -857,11 +859,10 @@ def test_closed_stdout_is_a_write_error(tmp_path, argv, code):
     # Python sets sys.stdout to None when fd 1 is closed at start.  A command
     # that prints fails as on any stdout write error; figure prints nothing.
     argv = [str(tmp_path / "fig.svg") if a == "FIG" else a for a in argv]
-    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
     proc = subprocess.run(
         ["sh", "-c", 'exec "$@" >&-', "sh",
          sys.executable, "-X", "dev", "-W", "error", "-m", "halfrare", *argv],
-        stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        stderr=subprocess.PIPE, text=True, env=_CHILD_ENV, timeout=60,
     )
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
@@ -870,6 +871,31 @@ def test_closed_stdout_is_a_write_error(tmp_path, argv, code):
         assert len(proc.stderr.splitlines()) == 1
     elif code == 0:
         assert proc.stderr == "" and (tmp_path / "fig.svg").read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["bounds", "--format", "csv"], 5),
+     (["bounds", "--format", "table"], 5),
+     (["phenomenon", "--kept", "b"], 5),
+     (["bounds", "--format", "json"], 0)],
+    ids=["csv", "table", "phenomenon", "json"],
+)
+def test_stdout_encoding_error_exits_5(tmp_path, argv, code):
+    # An ASCII stdout cannot print the label "é"; JSON escapes it.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"events": ["é", "b"], "probabilities": ["0.4", "0.3"]}))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "halfrare", *argv, "-i", str(path)],
+        capture_output=True, text=True, env=dict(_CHILD_ENV, PYTHONIOENCODING="ascii"),
+        timeout=60,
+    )
+    assert proc.returncode == code
+    if code:
+        assert proc.stderr.startswith("error: cannot write standard output: ")
+        assert len(proc.stderr.splitlines()) == 1
+    else:
+        assert proc.stderr == "" and json.loads(proc.stdout)["rows"][1]["labels"] == ["é"]
 
 
 @pytest.mark.parametrize(
@@ -932,9 +958,8 @@ def test_csv_stream_matches_csv_writer(capsys, tmp_path, labels):
 )
 def test_sweep_rejects_bad_ranges(argv):
     script = Path(__file__).parents[1] / "scripts" / "verification_sweep.py"
-    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, str(script), *argv], capture_output=True, text=True, env=env
+        [sys.executable, str(script), *argv], capture_output=True, text=True, env=_CHILD_ENV
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -946,10 +971,9 @@ def test_sweep_rejects_bad_ranges(argv):
 def test_render_figures_rejects_bad_outdir(tmp_path, outdir):
     (tmp_path / "FILE").write_text("")
     script = Path(__file__).parents[1] / "scripts" / "render_figures.py"
-    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, str(script), str(tmp_path / outdir)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_CHILD_ENV,
     )
     assert proc.returncode == 5
     assert proc.stdout == ""
@@ -967,14 +991,13 @@ def test_scripts_exit_5_on_a_stdout_write_error(tmp_path, script, args, stdout):
     # As the CLI: a reader gone leaves no message, a closed stdout one line.
     argv = [sys.executable, str(Path(__file__).parents[1] / "scripts" / script),
             *[str(tmp_path / "figures") if a == "OUT" else a for a in args]]
-    env = dict(os.environ, PYTHONPATH=str(Path(halfrare.__file__).parents[1]))
     if stdout == "closed-pipe":
         # No reader from the start, so every write fails, on every run.
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE,
-                                  text=True, env=env, timeout=60)
+                                  text=True, env=_CHILD_ENV, timeout=60)
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (5, "")
@@ -982,7 +1005,7 @@ def test_scripts_exit_5_on_a_stdout_write_error(tmp_path, script, args, stdout):
         if shutil.which("sh") is None:
             pytest.skip("needs sh")
         proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv],
-                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+                              stderr=subprocess.PIPE, text=True, env=_CHILD_ENV, timeout=60)
         assert proc.returncode == 5
         assert proc.stderr.startswith("error: cannot write standard output: ")
         assert len(proc.stderr.splitlines()) == 1

@@ -200,8 +200,11 @@ class TestRationals:
     @pytest.mark.parametrize(
         "text, message",
         [("0.4_5", "'0.4_5' is not a decimal or a fraction a/b, b > 0"),
-         ("1e-201", "'1e-201' exceeds 200 digits")],
-        ids=["separator", "digits"],
+         ("1e-201", "'1e-201' exceeds 200 digits"),
+         # Integer digits count too, also past the int string limit.
+         ("9" * 250, f"'{'9' * 24}' exceeds 200 digits"),
+         ("9" * 5000, f"'{'9' * 24}' exceeds 200 digits")],
+        ids=["separator", "digits", "integer-digits", "integer-digits-over-the-int-limit"],
     )
     def test_library_text_is_read_as_the_cli_reads_it(self, text, message):
         # Digit separators would pass Fraction() from Python 3.11 on.
@@ -340,6 +343,16 @@ class TestTerraceDistribution:
             TerraceDistribution(es, (1, 1), 3)  # sums to 2/3
         with pytest.raises(ProbabilityOutOfRange):
             TerraceDistribution(es, (0, 0), 0)
+
+    @pytest.mark.parametrize("numerators, den, field", [
+        ((0.5, 0.5), 1, "numerators"),
+        ((Fraction(1, 2), Fraction(1, 2)), 1, "numerators"),
+        ((1, 0.0), 1, "numerators"),
+        ((1, 1), 2.0, "den"),
+    ], ids=["floats", "fractions", "one-float", "den-a-float"])
+    def test_holds_ints(self, numerators, den, field):
+        with pytest.raises(TypeError, match=f"^{field} must be"):
+            TerraceDistribution(default_event_set(1), numerators, den)
 
     def test_atoms_view(self):
         d = TerraceDistribution(default_event_set(1), (2, 4), 6)

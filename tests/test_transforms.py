@@ -123,8 +123,9 @@ def test_half_tables_match_definition(n, data):
 
 @pytest.mark.parametrize(
     "kept, order",
-    [(0, (0, 0)), (0, (0, 2)), (-1, (0, 1)), (4, (0, 1))],
-    ids=["repeated-event", "event-outside", "kept-negative", "kept-past-the-events"],
+    [(0, (0, 0)), (0, (0, 2)), (-1, (0, 1)), (4, (0, 1)), (0, (0.0, 1.0)), (1.5, (0, 1))],
+    ids=["repeated-event", "event-outside", "kept-negative", "kept-past-the-events",
+         "order-of-floats", "kept-a-float"],
 )
 def test_phenomenon_map_rejects_a_bad_order_or_kept_set(kept, order):
     with pytest.raises(IndexOutOfRange):
