@@ -13,7 +13,7 @@ import argparse
 import sys
 import time
 
-from halfrare import random_marginals, verify_bounds
+from halfrare import indicator_string, random_marginals, verify_bounds
 from halfrare.cli import guard_stdout, non_negative_int
 from halfrare.oracle import MAX_LP_EVENTS
 
@@ -42,7 +42,8 @@ def main() -> int:
         stats[2] += time.perf_counter() - start
         if not rep.verdict:
             bad = rep.first_mismatch()
-            print(f"MISMATCH n={n} seed={args.seed + k} subset={bad.subset}: "
+            print(f"MISMATCH n={n} seed={args.seed + k} "
+                  f"subset={indicator_string(bad.subset, n)}: "
                   f"closed [{bad.closed_form_lower}, {bad.closed_form_upper}] "
                   f"vs LP [{bad.lp_min}, {bad.lp_max}]")
     for n, (run, sharp, seconds) in sorted(per_n.items()):

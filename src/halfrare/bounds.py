@@ -27,6 +27,7 @@ from .core import (
     check_subset,
     make_event_set,
     over_common_denominator,
+    validate_marginals,
 )
 from .transforms import half_rare_map
 
@@ -98,16 +99,18 @@ def boundary_distributions(
     return BoundaryDistributions(m.events, tuple(lower), upper)
 
 
-def _doublet_marginals(p_x: Fraction, p_y: Fraction) -> HalfRareMarginalSet:
-    return HalfRareMarginalSet(make_event_set(("x", "y")), (Fraction(p_x), Fraction(p_y)))
+def _doublet_marginals(p_x, p_y) -> HalfRareMarginalSet:
+    m = validate_marginals(make_event_set(("x", "y")), (p_x, p_y))
+    return HalfRareMarginalSet(m.events, m.probs)
 
 
-def doublet_bounds(p_x: Fraction, p_y: Fraction) -> BoundaryDistributions:
-    """Bounds for a half-rare pair, in subset order (empty, {x}, {y}, {x,y})."""
+def doublet_bounds(p_x, p_y) -> BoundaryDistributions:
+    """Bounds for a half-rare pair, in subset order (empty, {x}, {y}, {x,y});
+    `p_x` and `p_y` are read as `validate_marginals` reads a probability."""
     return boundary_distributions(_doublet_marginals(p_x, p_y))
 
 
-def covariance_bounds_doublet(p_x: Fraction, p_y: Fraction) -> CovarianceBounds:
+def covariance_bounds_doublet(p_x, p_y) -> CovarianceBounds:
     """Covariance intervals for a half-rare pair, in subset order
     (empty, {x}, {y}, {x,y}); every interval straddles 0."""
     m = _doublet_marginals(p_x, p_y)

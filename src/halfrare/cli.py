@@ -88,10 +88,6 @@ def _read_document(path: str) -> tuple[list[str], list]:
             'malformed input document: "events" must be a list of strings '
             'and "probabilities" a list',
         )
-    try:
-        "".join(labels).encode("utf-8")
-    except UnicodeEncodeError as e:
-        raise CliError(EXIT_PARSE, f"malformed input document: an event label is not text: {e}")
     return labels, items
 
 
@@ -400,9 +396,9 @@ def guard_stdout(run: Callable[[], int]) -> int:
         sys.stdout.flush()
         return code
     except (OSError, UnicodeEncodeError) as e:
-        # Labels are checked as UTF-8 text when read, so an encoding error can
-        # only come from a stdout that cannot encode one.  Keep the final flush
-        # from failing again.  A closed pipe: no message.
+        # EventSet admits no label UTF-8 cannot encode, so an encoding error
+        # can only come from a stdout that cannot encode one.  Keep the final
+        # flush from failing again.  A closed pipe: no message.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -2,15 +2,16 @@
 distributions and bitmask subset indexing.
 
 Each type checks its own invariant once, when it is built, and code that holds
-one does not check it again: an `EventSet` has 1 to MAX_EVENTS distinct labels
-(`check_event_count` is the one size guard, for every cap), a `MarginalSet` one
-probability in [0, 1] per event, and a `TerraceDistribution` 2^N nonnegative
-integer numerators summing to its one denominator.  `make_event_set` and
-`default_event_set` only build the labels' tuple, and `default_event_set` runs
-the size guard on n first; `validate_marginals` reads text and floats through
-`parse_probability` and turns other numbers into `Fraction`s.
-The value types of the package are immutable `__slots__` classes on `Value`,
-equal when their class and fields are.
+one does not check it again: an `EventSet` has 1 to MAX_EVENTS distinct `str`
+labels with no control character or lone surrogate (`check_event_count` is
+the one size guard, for every cap), a `MarginalSet` one probability in [0, 1]
+per event, and a `TerraceDistribution` 2^N nonnegative integer numerators
+summing to its one denominator.  `make_event_set` and `default_event_set` only
+build the labels' tuple, and `default_event_set` runs the size guard on n
+first; `validate_marginals` reads text and floats through `parse_probability`
+and turns other numbers into `Fraction`s.  The value types are immutable
+`__slots__` classes on `Value`, a list field stored as a tuple, equal when
+their class and fields are.
 
 Probabilities are carried as `fractions.Fraction` everywhere, and text is read
 by `parse_probability` alone; decimals are a rendering concern only.  Subsets
@@ -50,7 +51,7 @@ MAX_PROBABILITY_DIGITS = 200
 #: Decimal places `format_decimal` rounds to unless told otherwise.
 DEFAULT_DIGITS = 6
 
-_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
+_NOT_TEXT = re.compile("[\x00-\x1f\x7f-\x9f\ud800-\udfff]")
 _WHOLE = re.compile(r"[+-]?(\d*)")
 
 ZERO = Fraction(0)
@@ -61,9 +62,9 @@ HALF = Fraction(1, 2)
 class Value:
     """Base of the immutable value types.  A subclass names its fields in
     `__slots__`, after those of its bases; they are set once, by position or
-    keyword, and then checked by `__post_init__`, also when a value is
-    unpickled or copied.  Values are equal, and hash alike, when their class
-    and field tuples are; the repr is the one a dataclass prints."""
+    keyword, a list as a tuple, and then checked by `__post_init__`, also when
+    a value is unpickled or copied.  Values are equal, and hash alike, when
+    their class and field tuples are; the repr is the one a dataclass prints."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -76,7 +77,7 @@ class Value:
         if len(values) != len(args) + len(kwargs) or values.keys() != set(self._fields):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
         for name in self._fields:
-            object.__setattr__(self, name, values[name])
+            object.__setattr__(self, name, tuple(v) if isinstance(v := values[name], list) else v)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -118,12 +119,12 @@ class EventSet(Value):
     def __post_init__(self) -> None:
         if not self.labels:
             raise EmptySet("an event set needs at least one event")
-        if len(set(self.labels)) != len(self.labels):
-            raise DuplicateLabel(f"labels are not pairwise distinct: {self.labels}")
         check_event_count(len(self.labels))
         for lab in self.labels:
-            if _CONTROL.search(lab):
-                raise InvalidLabel(f"label {lab!r} holds a control character")
+            if not isinstance(lab, str) or _NOT_TEXT.search(lab):
+                raise InvalidLabel(f"label {lab!r} is not UTF-8 text without control characters")
+        if len(set(self.labels)) != len(self.labels):
+            raise DuplicateLabel(f"labels are not pairwise distinct: {self.labels}")
 
     @property
     def n(self) -> int:

@@ -40,7 +40,7 @@ class PhenomenonMap(Value):
 
     def __post_init__(self) -> None:
         order = self.order
-        if sorted(order) != list(range(self.n)) or not all(isinstance(i, int) for i in order):
+        if not all(isinstance(i, int) for i in order) or sorted(order) != list(range(self.n)):
             raise IndexOutOfRange(f"order {self.order} is not a permutation of 0..{self.n - 1}")
         check_subset(self.kept, self.n)
 
@@ -67,15 +67,18 @@ class PhenomenonMap(Value):
 
     def map_probs(self, probs: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Marginals after the transform: complemented events get 1 - p."""
+        if len(probs) != self.n:
+            raise LengthMismatch(f"{len(probs)} probabilities for N={self.n}")
         return tuple(probs[i] if (self.kept >> i) & 1 else ONE - probs[i] for i in self.order)
 
     def map_marginals(self, m: MarginalSet) -> MarginalSet:
         """`map_probs` with labels: complemented events are renamed `label^c`."""
+        probs = self.map_probs(m.probs)
         labels = tuple(
             m.events.labels[i] if (self.kept >> i) & 1 else m.events.labels[i] + "^c"
             for i in self.order
         )
-        return validate_marginals(make_event_set(labels), self.map_probs(m.probs))
+        return validate_marginals(make_event_set(labels), probs)
 
 
 def independent_epd(m: MarginalSet) -> TerraceDistribution:

@@ -243,6 +243,16 @@ class TestDoublet:
         assert bd.lower[0] == 0 and bd.upper[0] == F(1, 2)
         assert bd.lower[1] == 0 and bd.upper[1] == F(1, 2)
 
+    def test_reads_probabilities_as_validate_marginals_does(self):
+        # A float by its text, and text by the rules of -p.
+        assert doublet_bounds(0.45, 0.4) == doublet_bounds("9/20", "0.40")
+        assert doublet_bounds(0.45, 0.4).lower == (F(3, 20), F(1, 20), 0, 0)
+        assert covariance_bounds_doublet(0.45, 0.4) == covariance_bounds_doublet(F(9, 20), F(2, 5))
+        for bad, message in (("1e-300", "exceeds 200 digits"), ("0.4_5", "is not a decimal")):
+            for build in (doublet_bounds, covariance_bounds_doublet):
+                with pytest.raises(ValueError, match=message):
+                    build(bad, "0")
+
     def test_rejects_bad_order(self):
         with pytest.raises(NotHalfRare):
             doublet_bounds(F(2, 5), F(9, 20))

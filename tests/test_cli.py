@@ -8,6 +8,7 @@ import json
 import os
 import re
 import resource
+import runpy
 import shutil
 import subprocess
 import sys
@@ -513,7 +514,7 @@ class TestPhenomenonCommand:
         (["bounds", "-i", "DOC", "-p", "0.3"], {"events": ["a"], "probabilities": ["0.4"]}, 2),
         (["verify", "-p", "0.3", "-i", "DOC"], {"events": ["a"], "probabilities": ["0.4"]}, 2),
         (["bounds", "-i", "DOC"], b"[" * 100_000 + b"]" * 100_000, 2),
-        (["bounds", "-i", "DOC"], {"events": ["\ud800"], "probabilities": ["0.4"]}, 2),
+        (["bounds", "-i", "DOC"], {"events": ["\ud800"], "probabilities": ["0.4"]}, 3),
         (["bounds", "-p", "1e-5000", "--exact"], None, 2),
         (["bounds", "-p", "1e-2000000"], None, 2),
         (["bounds", "-p", "0.5,1/1" + "0" * 200], None, 2),
@@ -636,7 +637,7 @@ def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):
         assert len(proc.stderr.replace(str(tmp_path), "").encode()) < 200
     if not {"-p", "-i", "--random"} & set(argv):
         assert proc.stderr.startswith("usage:") and " is required" in proc.stderr
-    if "malformed input document" in proc.stderr and "not text" not in proc.stderr:
+    if "malformed input document" in proc.stderr:
         # One message for every wrong shape, naming both keys.
         assert '"events"' in proc.stderr and '"probabilities"' in proc.stderr
     if "1e-2000000" in argv:
@@ -714,6 +715,24 @@ def test_readme_names_every_public_name():
     assert [
         name for name in halfrare.__all__ if not re.search(rf"(?<!\w){name}(?!\w)", readme)
     ] == []
+
+
+def test_readme_library_example_states_its_values():
+    # Each commented line of README's Library example is evaluated, and its
+    # comment must open with the value, a tuple written as its items' str.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    namespace, stated = {}, []
+    for line in re.search(r"```python\n(.*?)```", readme, re.S)[1].splitlines():
+        code, _, comment = line.partition("  # ")
+        if not comment:
+            exec(code, namespace)
+            continue
+        value = eval(code, namespace)
+        text = f"({', '.join(map(str, value))})" if isinstance(value, tuple) else str(value)
+        assert comment.strip().startswith(text), (code, text, comment)
+        stated.append(code.strip())
+    assert stated == ["bd.lower", "bd.upper", "boundary_distributions(m, float).lower",
+                      "verify_bounds(m).verdict"]
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_out():
@@ -965,6 +984,25 @@ def test_sweep_rejects_bad_ranges(argv):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("verification_sweep.py: error:")
+
+
+def test_sweep_names_a_mismatching_subset_as_verify_does(monkeypatch, capsys):
+    # One record off its LP optimum, at subset {x1, x2}: the sweep writes it
+    # as the indicator string 110, as `halfrare verify` does, not as int 3.
+    m = halfrare.marginals_from_values(["0.45", "0.4", "0.1"])
+    report = oracle.verify_bounds(m)
+    record = report.records[3]
+    fields = {name: getattr(record, name) for name in record.__match_args__}
+    off = oracle.SubsetRecord(**{**fields, "lp_max": record.lp_max + 1})
+    records = (*report.records[:3], off, *report.records[4:])
+    monkeypatch.setattr(halfrare, "verify_bounds", lambda m: oracle.VerificationReport(m, records))
+    script = Path(__file__).parents[1] / "scripts" / "verification_sweep.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--count", "1", "--n-min", "3", "--n-max", "3"])
+    with pytest.raises(SystemExit) as e:
+        runpy.run_path(str(script), run_name="__main__")
+    assert e.value.code == 1
+    mismatch = capsys.readouterr().out.splitlines()[0]
+    assert mismatch.startswith("MISMATCH n=3 seed=0 subset=110: closed [")
 
 
 @pytest.mark.parametrize("outdir", ["FILE", "FILE/figures"], ids=["a-file", "under-a-file"])

@@ -82,6 +82,17 @@ class TestEventSet:
         with pytest.raises(InvalidLabel):
             make_event_set(["x", label])
 
+    @pytest.mark.parametrize(
+        "label", ["\ud800", "a\udfff", 1, None, ["a"]],
+        ids=["lone-high-surrogate", "lone-low-surrogate", "int", "none", "list"],
+    )
+    def test_lone_surrogates_and_other_types_rejected(self, label):
+        # A lone surrogate is the one kind of str character UTF-8 cannot encode.
+        with pytest.raises(InvalidLabel):
+            make_event_set(["x", label])
+        with pytest.raises(InvalidLabel):
+            EventSet((label, "y"))
+
     def test_printable_labels_accepted(self):
         make_event_set(["a,b", 'q"', "é", "", " ", "\u2028"])
 

@@ -123,13 +123,24 @@ def test_half_tables_match_definition(n, data):
 
 @pytest.mark.parametrize(
     "kept, order",
-    [(0, (0, 0)), (0, (0, 2)), (-1, (0, 1)), (4, (0, 1)), (0, (0.0, 1.0)), (1.5, (0, 1))],
+    [(0, (0, 0)), (0, (0, 2)), (-1, (0, 1)), (4, (0, 1)), (0, (0.0, 1.0)), (1.5, (0, 1)),
+     (0, (0, "a")), (0, ("a", 0))],
     ids=["repeated-event", "event-outside", "kept-negative", "kept-past-the-events",
-         "order-of-floats", "kept-a-float"],
+         "order-of-floats", "kept-a-float", "order-with-text", "order-text-first"],
 )
 def test_phenomenon_map_rejects_a_bad_order_or_kept_set(kept, order):
     with pytest.raises(IndexOutOfRange):
         PhenomenonMap(kept, order)
+
+
+@pytest.mark.parametrize("n", [1, 3], ids=["fewer-events", "more-events"])
+def test_phenomenon_map_rejects_marginals_of_another_size(n):
+    # Neither drops an event nor reads past the last one.
+    pm, m = PhenomenonMap(0, tuple(range(n))), marginals_from_values(["0.45", "0.40"])
+    with pytest.raises(LengthMismatch):
+        pm.map_probs(m.probs)
+    with pytest.raises(LengthMismatch):
+        pm.map_marginals(m)
 
 
 class TestApplyPhenomenon:

@@ -116,3 +116,15 @@ def test_fields_are_set_once(cls, fields, other, text):
             delattr(value, name)
     assert tuple(getattr(value, name) for name in fields) == tuple(fields.values())
 
+
+LISTED = [case for case in CASES if any(isinstance(v, tuple) for v in case[1].values())]
+
+
+@pytest.mark.parametrize("cls, fields, other, text", LISTED, ids=[c[0].__name__ for c in LISTED])
+def test_list_fields_are_stored_as_tuples(cls, fields, other, text):
+    # Built from lists, a value is still immutable, and equals and hashes
+    # like the one built from tuples.
+    value = cls(**{name: list(v) if isinstance(v, tuple) else v for name, v in fields.items()})
+    assert tuple(getattr(value, name) for name in fields) == tuple(fields.values())
+    assert value == cls(**fields) and hash(value) == hash(cls(**fields))
+    assert pickle.loads(pickle.dumps(value)) == value
