@@ -41,7 +41,7 @@ def main() -> int:
             path.write_text(render_figure(m))
             written.append(path)
     except OSError as e:
-        print(f"error: cannot write figures to {outdir}: {e.strerror or e}", file=sys.stderr)
+        print(f"error: cannot write figures to {str(outdir)!r}: {e.strerror or e}", file=sys.stderr)
         return EXIT_IO
     for path in written:
         print(f"wrote {path}")

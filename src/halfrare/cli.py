@@ -73,10 +73,10 @@ def _read_document(path: str) -> tuple[list[str], list]:
             # Decimal keeps a JSON number's own digits: a float would round them.
             doc = json.load(f, parse_float=Decimal)
     except OSError as e:
-        raise CliError(EXIT_IO, f"cannot read {path}: {e.strerror or e}")
+        raise CliError(EXIT_IO, f"cannot read {path!r}: {e.strerror or e}")
     except (ValueError, RecursionError) as e:
         # Bad JSON syntax, bytes that are not UTF-8, or nesting too deep.
-        raise CliError(EXIT_PARSE, f"invalid JSON in {path}: {e}")
+        raise CliError(EXIT_PARSE, f"invalid JSON in {path!r}: {e}")
     if not (
         isinstance(doc, dict)
         and isinstance(labels := doc.get("events"), list)
@@ -273,7 +273,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         with open(args.out, "w") as f:
             f.write(svg)
     except OSError as e:
-        raise CliError(EXIT_IO, f"cannot write {args.out}: {e.strerror or e}")
+        raise CliError(EXIT_IO, f"cannot write {args.out!r}: {e.strerror or e}")
     return EXIT_OK
 
 

@@ -1,18 +1,13 @@
 """Foundational types: labeled event sets, exact rational marginals, terrace
 distributions and bitmask subset indexing.
 
-Each type checks its own invariant once, when it is built, and code that holds
-one does not check it again: an `EventSet` has a list or tuple of 1 to
-MAX_EVENTS distinct `str` labels with no control character or lone surrogate
-(`check_event_count` is the one size guard, for every cap), a `MarginalSet`
-one probability in [0, 1] per event, and a `TerraceDistribution` 2^N
-nonnegative integer numerators summing to its one denominator.
-`make_event_set(labels)` is `EventSet(labels)`, and `default_event_set` runs
-the size guard on n before it builds the labels; `validate_marginals` reads
-text and floats through `parse_probability` and turns other numbers into
-`Fraction`s.  A message shows input only through `errors.excerpt`.  The value
-types are immutable `__slots__` classes on `Value`, a list field stored as a
-tuple, equal when their class and fields are.
+Each type states and checks its own invariant once, when it is built, and
+code that holds one does not check it again.  `check_event_count` is the one
+size guard, for every cap; `validate_marginals` reads text and floats through
+`parse_probability` and turns other numbers into `Fraction`s.  A message shows
+input only through `errors.excerpt`.  The value types are immutable
+`__slots__` classes on `Value`, a list field stored as a tuple, equal when
+their class and fields are.
 
 Probabilities are carried as `fractions.Fraction` everywhere, and text is read
 by `parse_probability` alone; decimals are a rendering concern only.  Subsets
@@ -114,7 +109,8 @@ def check_event_count(n: int, cap: int = MAX_EVENTS, what: str = "dense") -> Non
 
 
 class EventSet(Value):
-    """An ordered set of 1 to MAX_EVENTS distinctly labeled events."""
+    """An ordered set of 1 to MAX_EVENTS events, labeled by a list or tuple of
+    distinct `str`s with no control character or lone surrogate."""
 
     __slots__ = ("labels",)
 
@@ -152,7 +148,7 @@ def default_event_set(n: int) -> EventSet:
 
 def check_subset(x: int, n: int) -> None:
     if not (isinstance(x, int) and 0 <= x < (1 << n)):
-        raise IndexOutOfRange(f"subset index {x} not in [0, 2^{n})")
+        raise IndexOutOfRange(f"subset index {excerpt(x)} not in [0, 2^{n})")
 
 
 def indicator_string(x: int, n: int) -> str:
@@ -206,15 +202,11 @@ class MarginalSet(Value):
             if not isinstance(p, (int, Fraction)):
                 raise TypeError(f"probability #{i} is a {type(p).__name__}, not exact")
             if not ZERO <= p <= ONE:
-                raise ProbabilityOutOfRange(i, p)
+                raise ProbabilityOutOfRange(f"probability #{i} = {excerpt(p)} is outside [0, 1]")
 
     @property
     def n(self) -> int:
         return self.events.n
-
-    def is_half_rare(self) -> bool:
-        p = self.probs
-        return p[0] <= HALF and all(p[i] >= p[i + 1] for i in range(len(p) - 1))
 
 
 def validate_marginals(events: EventSet, probs: Sequence) -> MarginalSet:
@@ -230,10 +222,8 @@ def marginals_from_values(values: Sequence) -> MarginalSet:
 
 
 class HalfRareMarginalSet(MarginalSet):
-    """A MarginalSet with 1/2 >= p_1 >= p_2 >= ... >= p_N.
-
-    The most probable event is always the first one by construction.
-    """
+    """A MarginalSet in the half-rare order 1/2 >= p_1 >= p_2 >= ... >= p_N,
+    so the most probable event comes first."""
 
     __slots__ = ()
 
@@ -256,8 +246,9 @@ def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]
 class TerraceDistribution(Value):
     """A joint distribution of the events: the probability that exactly the
     events in X occur is `numerators[X] / den`, for every subset X.  The
-    numerators are nonnegative ints summing to `den`, so every atom lies in
-    [0, 1] and the atoms sum to 1 exactly."""
+    numerators are ints, summing to an int `den` > 0 and none negative, so
+    every atom lies in [0, 1] and the atoms sum to 1 exactly.  The checks run
+    in that order, so each message holds."""
 
     __slots__ = ("events", "numerators", "den")
 
@@ -271,11 +262,12 @@ class TerraceDistribution(Value):
             raise TypeError(f"numerators must be ints, but sum to a {type(total).__name__}")
         if not isinstance(self.den, int):
             raise TypeError(f"den must be an int, not a {type(self.den).__name__}")
-        if min(self.numerators) < 0:
-            x = next(x for x, a in enumerate(self.numerators) if a < 0)
-            raise ProbabilityOutOfRange(x, Fraction(self.numerators[x], self.den))
-        if total != self.den or total == 0:
-            raise ProbabilityOutOfRange("total", f"{total}/{self.den}")
+        if self.den <= 0:
+            raise ProbabilityOutOfRange(f"den = {excerpt(self.den)} is not positive")
+        if total != self.den:
+            raise ProbabilityOutOfRange(f"atoms sum to {excerpt(Fraction(total, self.den))}, not 1")
+        if (least := min(self.numerators)) < 0:
+            raise ProbabilityOutOfRange(f"atom #{self.numerators.index(least)} is negative")
 
     @property
     def atoms(self) -> tuple[Fraction, ...]:

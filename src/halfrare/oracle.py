@@ -33,7 +33,7 @@ from .core import (
     over_common_denominator,
     validate_marginals,
 )
-from .errors import Infeasible
+from .errors import Infeasible, excerpt
 
 #: LP cap: 2^N atom variables keeps the tableau at most 64 columns wide.
 MAX_LP_EVENTS = 6
@@ -115,7 +115,7 @@ def lp_extremize_terrace(
     check_event_count(m.n, MAX_LP_EVENTS, "LP")
     check_subset(x, m.n)
     if direction not in ("min", "max"):
-        raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
+        raise ValueError(f"direction must be 'min' or 'max', got {excerpt(direction)}")
     tableau, basis, den = _vertex_tableau(m)
     sign = 1 if direction == "min" else -1
     # sign atom(X) less its basic part: the reduced costs at the start vertex.

@@ -23,7 +23,7 @@ from .core import (
     over_common_denominator,
     validate_marginals,
 )
-from .errors import IndexOutOfRange, LengthMismatch
+from .errors import IndexOutOfRange, LengthMismatch, excerpt
 
 
 class PhenomenonMap(Value):
@@ -41,7 +41,7 @@ class PhenomenonMap(Value):
     def __post_init__(self) -> None:
         order = self.order
         if not all(isinstance(i, int) for i in order) or sorted(order) != list(range(self.n)):
-            raise IndexOutOfRange(f"order {self.order} is not a permutation of 0..{self.n - 1}")
+            raise IndexOutOfRange(f"order {excerpt(order)} is not a permutation of 0..{self.n - 1}")
         check_subset(self.kept, self.n)
 
     @property

@@ -557,6 +557,7 @@ class TestPhenomenonCommand:
         (["bounds", "-i", "DOC"], {"events": ["b" * 5000] * 2, "probabilities": ["0.4", "0.3"]}, 3),
         (["phenomenon", "-p", "0.45,0.40", "--kept", "z" * 5000], None, 3),
         (["phenomenon", "-p", "0.45,0.40", "--kept", ",".join(["x1"] * 2000)], None, 3),
+        (["bounds", "-i", "no\nsuch.json"], None, 5),
     ],
     ids=[
         "bounds-digits-negative",
@@ -618,6 +619,7 @@ class TestPhenomenonCommand:
         "long-labels-repeated",
         "kept-long-unknown-label",
         "kept-many-repeated-labels",
+        "input-path-newline",
     ],
 )
 def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):
@@ -658,12 +660,13 @@ def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):
 
 
 def test_missing_input_path_named_once(tmp_path):
-    # The path, then the OS's reason alone: OSError's text would name it again.
+    # The path as a repr, then the OS's reason alone: OSError's text would
+    # name it again.
     path = str(tmp_path / "missing.json")
     proc = subprocess.run([sys.executable, "-m", "halfrare", "bounds", "-i", path],
                           capture_output=True, text=True, env=_CHILD_ENV)
     assert proc.returncode == 5
-    assert proc.stderr == f"error: cannot read {path}: No such file or directory\n"
+    assert proc.stderr == f"error: cannot read {path!r}: No such file or directory\n"
 
 
 def test_unwritable_figure_path_named_once(tmp_path):
@@ -671,7 +674,7 @@ def test_unwritable_figure_path_named_once(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "halfrare", "figure", "-p", "0.4", "--out", out],
                           capture_output=True, text=True, env=_CHILD_ENV)
     assert proc.returncode == 5
-    assert proc.stderr == f"error: cannot write {out}: No such file or directory\n"
+    assert proc.stderr == f"error: cannot write {out!r}: No such file or directory\n"
 
 
 def test_huge_random_n_exits_3():

@@ -19,6 +19,7 @@ from halfrare import (
 from halfrare.cli import _JSON_ITEM_SEP, _bound_rows
 from halfrare.core import (
     MAX_PROBABILITY_DIGITS,
+    check_subset,
     default_event_set,
     format_decimal,
     format_exact,
@@ -27,6 +28,7 @@ from halfrare.core import (
 from halfrare.errors import (
     DuplicateLabel,
     EmptySet,
+    IndexOutOfRange,
     InvalidLabel,
     LengthMismatch,
     NotHalfRare,
@@ -35,6 +37,7 @@ from halfrare.errors import (
 )
 from halfrare.figure import render_figure
 from halfrare.oracle import lp_extremize_terrace
+from halfrare.transforms import PhenomenonMap
 
 
 class TestEventSet:
@@ -148,8 +151,7 @@ class TestMarginals:
         assert MarginalSet(default_event_set(2), (1, 0)).probs == (1, 0)
 
     def test_all_zero_is_valid(self):
-        m = marginals_from_values([0, 0, 0])
-        assert m.is_half_rare()
+        HalfRareMarginalSet(default_event_set(3), (0, 0, 0))
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -185,6 +187,22 @@ class TestMarginals:
             HalfRareMarginalSet(es, (Fraction(3, 2),))
         with pytest.raises(LengthMismatch):
             HalfRareMarginalSet(es, (Fraction(1, 2), Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: marginals_from_values([10**5000]), ProbabilityOutOfRange),
+    (lambda: HalfRareMarginalSet(default_event_set(2), (0, Fraction(1, 10**5000))), NotHalfRare),
+    (lambda: check_subset(10**5000, 3), IndexOutOfRange),
+    (lambda: PhenomenonMap(0, tuple(range(3000)) + (0,)), IndexOutOfRange),
+    (lambda: PhenomenonMap(0, (10**5000,)), IndexOutOfRange),
+    (lambda: lp_extremize_terrace(0, marginals_from_values([0]), "x" * 5000), ValueError),
+], ids=["int-past-str-limit", "fraction-past-str-limit", "subset-past-str-limit", "long-order",
+        "order-past-str-limit", "long-direction"])
+def test_long_library_input_gives_one_short_line(build, error):
+    # Input enters a message only through `excerpt`, which never raises.
+    with pytest.raises(error) as e:
+        build()
+    assert "\n" not in str(e.value) and len(str(e.value)) < 200
 
 
 class TestSubsets:
@@ -395,6 +413,19 @@ class TestTerraceDistribution:
             TerraceDistribution(es, (1, 1), 3)  # sums to 2/3
         with pytest.raises(ProbabilityOutOfRange):
             TerraceDistribution(es, (0, 0), 0)
+
+    @pytest.mark.parametrize("numerators, den, message", [
+        ((1, 2), 4, "atoms sum to '3/4', not 1"),
+        ((-1, -1), -2, "den = '-2' is not positive"),
+        ((1, -1), 0, "den = '0' is not positive"),
+        ((3, -1), 2, "atom #1 is negative"),
+    ], ids=["sum-inside-0-1", "den-negative", "den-zero", "atom-negative"])
+    def test_each_message_is_true(self, numerators, den, message):
+        # The checks run in dependency order: den > 0, then the sum, then the
+        # signs, so no message calls a value outside [0, 1] that is not.
+        with pytest.raises(ProbabilityOutOfRange) as e:
+            TerraceDistribution(default_event_set(1), numerators, den)
+        assert str(e.value) == message
 
     @pytest.mark.parametrize("numerators, den, field", [
         ((0.5, 0.5), 1, "numerators"),
