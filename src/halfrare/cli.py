@@ -11,13 +11,12 @@ does not fail again.  `main(argv)`
 can be called repeatedly in one process: it builds its parser on the first
 call and keeps it, as parsing leaves a parser unchanged.
 
-Bound tables are written in every format as one block of 2^(N//2) rows per
-write, built from the label tables of the low N//2 and the high N - N//2
-events, so no 2^N-entry label table exists.  Only the star column is
-formatted per row, one block at a time, from the integer numerators of
-`independent_epd` over their one denominator.  The lower and upper columns
-take at most N+4 distinct values, and `boundary_distributions` is handed the
-formatter so that it formats each of them once.
+Bound tables are written in every format one block of rows per write, built
+from the label tables of the two halves of `core.half_tables`, so no 2^N-entry
+label table exists.  Only the star column is formatted per row, one block at a
+time, from the integer numerators of `independent_epd` over their one
+denominator.  The lower and upper columns take at most N+4 distinct values, and
+`boundary_distributions` is handed the formatter so that it formats each once.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ import math
 import os
 import sys
 from decimal import Decimal
+from operator import add
 from typing import Callable, Iterator, Sequence
 
 from . import bounds as _bounds
@@ -42,6 +42,7 @@ from .core import (
     default_event_set,
     format_decimal,
     format_exact,
+    half_tables,
     indicator_string,
     make_event_set,
     parse_probability,
@@ -126,35 +127,25 @@ def _fmt(args: argparse.Namespace, m: MarginalSet) -> tuple[Callable, int]:
     return lambda nums, den: format_decimal(nums, den, digits), len("0.") + digits
 
 
-def _half_table(labels: Sequence[str], sep: str) -> tuple[list[str], list[str]]:
-    """The indicator strings, and the labels in X joined by `sep`, of every subset
-    X of `labels` in ascending bitmask order, by doubling: one event at a time,
-    its column gets "0" or "1" and its label joins every nonempty subset."""
-    words, joined = [""], [""]
-    for lab in labels:
-        words = [w + bit for bit in "01" for w in words]
-        # By subset, not by string: a label may be "".
-        joined += [j + sep + lab if x else lab for x, j in enumerate(joined)]
-    return words, joined
-
-
 def _bound_rows(
     m: MarginalSet, fmt: Callable[[Sequence[int], int], list[str]], labels: Sequence[str], sep: str
 ) -> Iterator[tuple[str, str, Iterator[tuple[str, str, str, str, str]]]]:
     """Every subset's row in ascending bitmask order, in one block per subset
-    of the high N - h events, h = N // 2: its indicator string, its label tail
-    and its 2^h rows (low indicator string, label head, lower, star, upper).
+    of the high events of `core.half_tables`: its indicator string, its label
+    tail and its rows (low indicator string, label head, lower, star, upper).
     A row's subset is the low string then the block's, its labels the head
     then the tail; `labels` names the events as the writer prints them."""
     bd = _bounds.boundary_distributions(m, lambda q: fmt((q.numerator,), q.denominator)[0])
     star = _transforms.independent_epd(m)
     lower, nums, den, upper = bd.lower, star.numerators, star.den, bd.upper
-    h = len(labels) // 2
-    low_words, low_labels = _half_table(labels[:h], sep)
-    # A head meets a nonempty tail with `sep`, except the empty set's head.
-    heads = ["", *(labs + sep for labs in low_labels[1:])]
+    low_words, high_words = half_tables("", [("0", "1")] * len(labels), add)
+    # Each label joins with a trailing `sep`, by subset, not by string, as a
+    # label may be "".  A head keeps it to meet a nonempty tail; the first
+    # block's heads and every tail cut it.
+    heads, tails = half_tables("", [("", lab + sep) for lab in labels], add)
+    low_labels, tails = ([j[:len(j) - len(sep)] for j in t] for t in (heads, tails))
     size = len(low_words)
-    for x_high, (word, tail) in enumerate(zip(*_half_table(labels[h:], sep))):
+    for x_high, (word, tail) in enumerate(zip(high_words, tails)):
         cells = slice(x_high * size, (x_high + 1) * size)
         yield word, tail, zip(low_words, heads if x_high else low_labels,
                               lower[cells], fmt(nums[cells], den), upper[cells])

@@ -13,7 +13,8 @@ Probabilities are carried as `fractions.Fraction` everywhere, and text is read
 by `parse_probability` alone; decimals are a rendering concern only.  Subsets
 of an N-event set are plain ints in [0, 2^N): bit i corresponds to the i-th
 event in input order.  Event order is never silently re-sorted; reordering is
-an explicit transform (see :mod:`halfrare.transforms`).
+an explicit transform (see :mod:`halfrare.transforms`).  Every power-set
+table is one fold over the events, `subset_table`, or its `half_tables`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import re
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     DuplicateLabel,
@@ -149,6 +150,23 @@ def default_event_set(n: int) -> EventSet:
 def check_subset(x: int, n: int) -> None:
     if not (isinstance(x, int) and 0 <= x < (1 << n)):
         raise IndexOutOfRange(f"subset index {excerpt(x)} not in [0, 2^{n})")
+
+
+def subset_table(first, pairs: Sequence[tuple], op: Callable) -> list:
+    """`first op f_0 op ... op f_(N-1)`, f_i = pairs[i][X >> i & 1], for every
+    subset X in ascending bitmask order: one comprehension per event doubles it."""
+    table = [first]
+    for pair in pairs:
+        table = [op(v, f) for f in pair for v in table]
+    return table
+
+
+def half_tables(first, pairs: Sequence[tuple], op: Callable) -> tuple[list, list]:
+    """`subset_table` of the first N // 2 events and of the rest, the one
+    statement of that split: no 2^N table is built.  For an associative `op`
+    with identity `first`, X's fold is `op(lo[X % len(lo)], hi[X // len(lo)])`."""
+    h = len(pairs) // 2
+    return subset_table(first, pairs[:h], op), subset_table(first, pairs[h:], op)
 
 
 def indicator_string(x: int, n: int) -> str:

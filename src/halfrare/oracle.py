@@ -35,7 +35,7 @@ from .core import (
 )
 from .errors import Infeasible, excerpt
 
-#: LP cap: 2^N atom variables keeps the tableau at most 64 columns wide.
+#: LP cap: at N = 6 the tableau is 8 (N + 2) rows by 65 (2^N atoms, right-hand side) columns.
 MAX_LP_EVENTS = 6
 
 

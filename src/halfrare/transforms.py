@@ -10,7 +10,9 @@ in the half-rare regime.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul, xor
 from typing import Sequence
 
 from .core import (
@@ -20,7 +22,9 @@ from .core import (
     TerraceDistribution,
     Value,
     check_subset,
+    half_tables,
     over_common_denominator,
+    subset_table,
     validate_marginals,
 )
 from .errors import IndexOutOfRange, LengthMismatch, excerpt
@@ -49,21 +53,12 @@ class PhenomenonMap(Value):
         return len(self.order)
 
     def half_tables(self) -> tuple[list[int], list[int]]:
-        """The renumbering X -> perm(X xor C) as two tables, `lo` over the
-        first h = N // 2 events and `hi` over the rest, whose entries share no
-        bit: X maps to `lo[X & (2^h - 1)] | hi[X >> h]`.  perm is linear over
-        xor, so each table starts at the image of its half of C and doubles
-        per event."""
-        pos = [0] * self.n
-        for j, i in enumerate(self.order):
-            pos[i] = 1 << j
-        tables = []
-        for events in (range(self.n // 2), range(self.n // 2, self.n)):
-            table = [sum(pos[i] for i in events if not (self.kept >> i) & 1)]
-            for i in events:
-                table += [y ^ pos[i] for y in table]
-            tables.append(table)
-        return tables[0], tables[1]
+        """The renumbering X -> perm(X xor C) as `core.half_tables`, whose
+        entries share no bit: X maps to `lo[X % len(lo)] | hi[X // len(lo)]`.
+        perm is linear over xor: event i's bit is set if kept and in X, or complemented and not."""
+        bits = [1 << self.order.index(i) for i in range(self.n)]
+        pairs = [(0, bit) if (self.kept >> i) & 1 else (bit, 0) for i, bit in enumerate(bits)]
+        return half_tables(0, pairs, xor)
 
     def map_probs(self, probs: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Marginals after the transform: complemented events get 1 - p."""
@@ -84,14 +79,10 @@ class PhenomenonMap(Value):
 def independent_epd(m: MarginalSet) -> TerraceDistribution:
     """Dense terrace distribution of the independent projection, over the one
     denominator D = prod den(p_x) that every cell shares."""
-    # Tensor-product fill on integers: one factor per event instead of N
-    # products per cell, and no gcd until a cell is read as a Fraction.
-    nums, den = [1], 1
-    for p in m.probs:
-        a, d = p.numerator, p.denominator
-        nums = [v * (d - a) for v in nums] + [v * a for v in nums]
-        den *= d
-    return TerraceDistribution(m.events, tuple(nums), den)
+    # One integer factor per event, d - a or a: no gcd until a cell is read as a Fraction.
+    pairs = [(p.denominator - p.numerator, p.numerator) for p in m.probs]
+    return TerraceDistribution(
+        m.events, tuple(subset_table(1, pairs, mul)), math.prod(p.denominator for p in m.probs))
 
 
 def half_rare_map(probs: Sequence[Fraction]) -> PhenomenonMap:

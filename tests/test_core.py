@@ -1,6 +1,8 @@
+import functools
 import random
 from decimal import Decimal
 from fractions import Fraction
+from operator import add, mul, xor
 
 import pytest
 from hypothesis import given
@@ -23,7 +25,9 @@ from halfrare.core import (
     default_event_set,
     format_decimal,
     format_exact,
+    half_tables,
     parse_probability,
+    subset_table,
 )
 from halfrare.errors import (
     DuplicateLabel,
@@ -227,7 +231,7 @@ class TestSubsets:
             _, rows = self.rows(("a", "b", "c"), sep)
             assert rows[5] == ("101", f"a{sep}c")
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 12))
     def test_subsets_match_definition(self, n):
         # Without an empty label, and with one at every position.
         for empty in (None, *range(n)):
@@ -243,6 +247,30 @@ class TestSubsets:
                 sizes, rows = self.rows(labels, sep)
                 assert sizes == [1 << n // 2] * (1 << n - n // 2)
                 assert rows == expected
+
+    @given(st.integers(min_value=0, max_value=8), st.data())
+    def test_fold_matches_definition(self, n, data):
+        for identity, op, values in (
+            (0, xor, st.integers(min_value=0, max_value=255)),
+            ("", add, st.text(max_size=2)),
+            (1, mul, st.integers(min_value=-5, max_value=5)),
+        ):
+            first = data.draw(values)
+            pairs = data.draw(st.lists(st.tuples(values, values), min_size=n, max_size=n))
+            table = subset_table(first, pairs, op)
+            assert table == [
+                functools.reduce(op, (pairs[i][x >> i & 1] for i in range(n)), first)
+                for x in range(1 << n)
+            ]
+            if n == 0:
+                assert table == [first]
+            # From the identity, each subset's fold is its low half's then its high half's.
+            lo, hi = half_tables(identity, pairs, op)
+            assert (len(lo), len(hi)) == (1 << n // 2, 1 << n - n // 2)
+            assert [op(lo[x % len(lo)], hi[x // len(lo)]) for x in range(1 << n)] == (
+                subset_table(identity, pairs, op))
+            if n == 1:
+                assert lo == [identity]
 
     @given(st.integers(min_value=1, max_value=12), st.data())
     def test_indicator_round_trip(self, n, data):
