@@ -236,24 +236,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         instances = [_load_marginals(args)]
     # json.dump(reports, indent=2)'s bytes, each report as soon as it is made.
-    error = None
+    bad = None  # the first failing record
     for k, r in enumerate(map(_oracle.verify_bounds, instances)):
         # Every denominator in a report divides one of its witnesses'.
         _exact_den(max(w.den for s in r.records for w in (s.witness_min, s.witness_max)))
         report = json.dumps(_report_dict(r), indent=2).replace("\n", "\n  ")
         sys.stdout.write((",\n  " if k else "[\n  ") + report)
         sys.stdout.flush()
-        bad = r.first_mismatch()
-        if error is None and bad is not None:
-            error = CliError(
-                EXIT_VERIFY,
-                f"sharpness mismatch at subset {indicator_string(bad.subset, r.marginals.n)}: "
-                f"closed-form [{bad.closed_form_lower}, {bad.closed_form_upper}] vs "
-                f"LP [{bad.lp_min}, {bad.lp_max}]",
-            )
+        bad = bad or r.first_mismatch()
     sys.stdout.write("\n]\n")
-    if error is not None:
-        raise error
+    if bad is not None:
+        raise CliError(EXIT_VERIFY, f"sharpness mismatch at {bad}")
     return EXIT_OK
 
 
@@ -406,7 +399,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (CliError, EventologyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code if isinstance(e, CliError) else EXIT_VALIDATION
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -20,7 +20,7 @@ def excerpt(value) -> str:
 
 
 class EventologyError(Exception):
-    """Base class for all domain errors; each carries only its message."""
+    """Base class for all input errors (the CLI's exit 3); each carries only its message."""
 
 
 class DuplicateLabel(EventologyError):
@@ -54,7 +54,3 @@ class IndexOutOfRange(EventologyError):
 class NotHalfRare(EventologyError):
     pass
 
-
-class Infeasible(EventologyError):
-    """The simplex found an unbounded direction.  The LP starts at a feasible
-    vertex of a bounded polytope, so this always signals an implementation bug."""

@@ -30,10 +30,11 @@ from .core import (
     check_event_count,
     check_subset,
     default_event_set,
+    indicator_string,
     over_common_denominator,
     validate_marginals,
 )
-from .errors import Infeasible, excerpt
+from .errors import excerpt
 
 #: LP cap: at N = 6 the tableau is 8 (N + 2) rows by 65 (2^N atoms, right-hand side) columns.
 MAX_LP_EVENTS = 6
@@ -43,9 +44,10 @@ class SubsetRecord(Value):
     __slots__ = ("subset", "closed_form_lower", "lp_min", "closed_form_upper", "lp_max",
                  "witness_min", "witness_max")
 
-    @property
-    def matches(self) -> bool:
-        return self.closed_form_lower == self.lp_min and self.closed_form_upper == self.lp_max
+    def __str__(self) -> str:
+        word = indicator_string(self.subset, self.witness_min.events.n)
+        return (f"subset {word}: closed-form [{self.closed_form_lower}, {self.closed_form_upper}] "
+                f"vs LP [{self.lp_min}, {self.lp_max}]")
 
 
 class VerificationReport(Value):
@@ -56,7 +58,8 @@ class VerificationReport(Value):
         return self.first_mismatch() is None
 
     def first_mismatch(self) -> SubsetRecord | None:
-        return next((r for r in self.records if not r.matches), None)
+        return next((r for r in self.records
+                     if (r.closed_form_lower, r.closed_form_upper) != (r.lp_min, r.lp_max)), None)
 
 
 def _simplex(tableau: list[list[int]], basis: list[int]) -> int:
@@ -77,7 +80,7 @@ def _simplex(tableau: list[list[int]], basis: list[int]) -> int:
                           < (tableau[row][-1] * a, basis[row])):
                 row = r
         if row < 0:
-            raise Infeasible("unbounded LP over a probability polytope")
+            raise AssertionError("unbounded LP over a bounded polytope: a program fault, not bad input")
         prow, p = tableau[row], tableau[row][col]
         for r, trow in enumerate(tableau):
             if r != row:

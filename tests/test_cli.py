@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import halfrare
@@ -395,6 +395,28 @@ class TestVerifyCommand:
         reports = json.loads(out)
         assert len(reports) == 1 and len(reports[0]["subsets"]) == 4
         assert reports[0]["verdict"] == "fail"
+
+    def test_first_of_several_mismatches_is_the_one_named(self, capsys, monkeypatch):
+        real_bounds, real_verify, made = oracle.boundary_distributions, oracle.verify_bounds, []
+
+        def one_wrong_upper_cell(m):
+            # Set k is off at subset k + 1, so the two sets' records differ.
+            bd, x = real_bounds(m), len(made) + 1
+            upper = (*bd.upper[:x], bd.upper[x] + F(1, 7), *bd.upper[x + 1:])
+            return BoundaryDistributions(bd.events, bd.lower, upper)
+
+        def recording(m):
+            made.append(real_verify(m))
+            return made[-1]
+
+        monkeypatch.setattr(oracle, "boundary_distributions", one_wrong_upper_cell)
+        monkeypatch.setattr(oracle, "verify_bounds", recording)
+        code, out, err = run(capsys, "verify", "--random", "2")
+        assert code == 4
+        first, second = (r.first_mismatch() for r in made)
+        assert (first.subset, second.subset) == (1, 2)
+        assert err == f"error: sharpness mismatch at {first}\n"
+        assert [r["verdict"] for r in json.loads(out)] == ["fail", "fail"]
 
 
 class TestFigureCommand:
@@ -1017,7 +1039,7 @@ def test_sweep_rejects_bad_ranges(argv):
 
 def test_sweep_names_a_mismatching_subset_as_verify_does(monkeypatch, capsys):
     # One record off its LP optimum, at subset {x1, x2}: the sweep writes it
-    # as the indicator string 110, as `halfrare verify` does, not as int 3.
+    # in `halfrare verify`'s words, as the indicator string 110, and exits 4.
     m = halfrare.marginals_from_values(["0.45", "0.4", "0.1"])
     report = oracle.verify_bounds(m)
     record = report.records[3]
@@ -1029,9 +1051,10 @@ def test_sweep_names_a_mismatching_subset_as_verify_does(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(script), "--count", "1", "--n-min", "3", "--n-max", "3"])
     with pytest.raises(SystemExit) as e:
         runpy.run_path(str(script), run_name="__main__")
-    assert e.value.code == 1
+    assert e.value.code == cli.EXIT_VERIFY == 4
     mismatch = capsys.readouterr().out.splitlines()[0]
-    assert mismatch.startswith("MISMATCH n=3 seed=0 subset=110: closed [")
+    assert mismatch == f"MISMATCH n=3 seed=0 {off}"
+    assert str(off).startswith("subset 110: closed-form [")
 
 
 @pytest.mark.parametrize("outdir", ["FILE", "FILE/figures"], ids=["a-file", "under-a-file"])
@@ -1191,6 +1214,10 @@ def _invocations(draw):
 
 @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 @given(_invocations())
+# Few drawn invocations reach a writer, so each table format runs at least once.
+@example((["bounds", "-i", "DOC", "--format", "json", "--exact"],
+          json.dumps({"events": ["é", 'q"', ""], "probabilities": ["0.45", "2/5", "0.7"]}).encode()))
+@example((["bounds", "-p", "0.45,1/3,0", "--format", "csv"], b""))
 def test_fuzz_exit_codes(invocation):
     argv, doc = invocation
     with tempfile.TemporaryDirectory() as tmp:
@@ -1221,3 +1248,7 @@ def test_fuzz_exit_codes(invocation):
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows)
         assert buf.getvalue() == text
+    elif text.startswith('{\n  "N": '):
+        doc = json.loads(text)
+        assert len(doc["rows"]) == 2 ** doc["N"]
+        assert text == json.dumps(doc, indent=2) + "\n"

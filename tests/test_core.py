@@ -1,11 +1,12 @@
 import functools
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
 from operator import add, mul, xor
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from halfrare import (
@@ -26,6 +27,7 @@ from halfrare.core import (
     format_decimal,
     format_exact,
     half_tables,
+    over_common_denominator,
     parse_probability,
     subset_table,
 )
@@ -281,6 +283,17 @@ class TestSubsets:
 
 
 class TestRationals:
+    @given(st.lists(st.sampled_from([Fraction(0), Fraction(1)])
+                    | st.fractions(0, 1, max_denominator=1000), max_size=8))
+    @example([Fraction(0), Fraction(1), Fraction(2, 3), Fraction(2, 3), Fraction(1, 6)])
+    def test_over_common_denominator(self, values):
+        nums, den = over_common_denominator(values)
+        # The lcm of the denominators, folded pairwise through gcd.
+        assert den == functools.reduce(lambda a, b: a * b // math.gcd(a, b),
+                                       (v.denominator for v in values), 1)
+        assert all(type(num) is int for num in nums)
+        assert [Fraction(num, den) for num in nums] == values
+
     def test_decimal_parse(self):
         assert parse_probability("0.45") == Fraction(9, 20)
         assert parse_probability("9/20") == Fraction(9, 20)

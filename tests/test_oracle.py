@@ -20,8 +20,8 @@ from halfrare import (
     random_marginals,
     verify_bounds,
 )
-from halfrare.errors import IndexOutOfRange, TooLarge
-from halfrare.oracle import _simplex, _vertex_tableau
+from halfrare.errors import EventologyError, IndexOutOfRange, TooLarge
+from halfrare.oracle import SubsetRecord, _simplex, _vertex_tableau
 
 from conftest import marginal_sets, tied_marginal_sets
 
@@ -163,6 +163,13 @@ class TestIntegerPivots:
             basic = tableau[basis.index(x)][w] if x in basis else 0
             assert tableau[-1][w] == sign * (d * (w == x) - basic)
 
+    def test_unbounded_column_is_a_program_fault(self):
+        # Column 1 lowers the objective and no row bounds it.  The marginal
+        # polytope is bounded, so this is a fault, not an input error (exit 3).
+        with pytest.raises(AssertionError, match="unbounded LP") as e:
+            _simplex([[1, -1, 1], [0, -1, 0]], [0])
+        assert not isinstance(e.value, EventologyError)
+
 
 class TestLpExtremize:
     def test_doublet_values(self):
@@ -229,6 +236,14 @@ class TestVerifyBounds:
         report = verify_bounds(FIG_PENTAPLET)
         assert report.verdict
         assert all(r.lp_min == 0 for r in report.records)  # all lower bounds 0
+
+    def test_record_text_names_subset_closed_form_and_lp_optimum(self):
+        record = verify_bounds(FIG_PENTAPLET).records[0b00110]
+        fields = {name: getattr(record, name) for name in record.__match_args__}
+        off = SubsetRecord(**{**fields, "closed_form_upper": record.lp_max + F(1, 7)})
+        assert str(off) == (f"subset 01100: closed-form [{record.lp_min}, {record.lp_max + F(1, 7)}]"
+                            f" vs LP [{record.lp_min}, {record.lp_max}]")
+        assert repr(off).startswith("SubsetRecord(subset=6, closed_form_lower=")
 
     def test_degenerate_polytope(self):
         report = verify_bounds(marginals_from_values([1, 0]))
