@@ -8,8 +8,8 @@
 # It tests the `halfrare` found on PATH.  In CI that is the installed entry
 # point; README "Tests" shows a stand-in for a tree that is not installed.
 # A behaviour check lives in tier-1.  This script adds only what an installed
-# package can show: that the console script prints and draws what `python -m
-# halfrare` does, and that the README scripts run.
+# package can show: that the console script prints, draws and exits as `python
+# -m halfrare` does, and that the README scripts run.
 set -eu
 
 if [ $# -ne 0 ]; then
@@ -43,37 +43,46 @@ done
 
 echo "== Installed console script"
 # The console script, run from outside the checkout with no PYTHONPATH, must
-# print, and draw, what `python -m halfrare` does.  A function keeps the empty
-# --kept argument one word.
+# write the same stdout and stderr, exit with the same status, and draw the
+# same SVG as `python -m halfrare`.  A function keeps the empty --kept
+# argument one word; `|| status=$?` keeps a failing run from ending the script.
 cd "$tmp"
-same_stdout() {
-    env -u PYTHONPATH halfrare "$@" > installed.out
-    PYTHONPATH="$root/src" python -m halfrare "$@" > module.out
+same_run() {
+    status=0
+    env -u PYTHONPATH halfrare "$@" > installed.out 2> installed.err || status=$?
+    echo "exit $status" >> installed.err
+    status=0
+    PYTHONPATH="$root/src" python -m halfrare "$@" > module.out 2> module.err || status=$?
+    echo "exit $status" >> module.err
     diff installed.out module.out
+    diff installed.err module.err
 }
-same_stdout bounds -p 0.45,0.40 --exact
+same_run bounds -p 0.45,0.40 --exact
 # N=11 splits into halves of 5 and 6 events.
 n11=0.9,0.1,0.5,1,0,2/3,1/3,0.75,0.25,0.6,0.6
-same_stdout bounds -p "$n11" --format json
-same_stdout bounds -p "$n11" --format csv --exact
-same_stdout bounds -p "$n11" --format table --digits 640
-same_stdout bounds -p "$n11" --format json --digits 0
+same_run bounds -p "$n11" --format json
+same_run bounds -p "$n11" --format csv --exact
+same_run bounds -p "$n11" --format table --digits 640
+same_run bounds -p "$n11" --format json --digits 0
 # Values longer than 12 characters widen their table columns.
-same_stdout bounds -p 0.45,1/3 --digits 14
-same_stdout phenomenon -p "$n11" --kept x2,x5,x9
-same_stdout verify -p 0.45,0.40
+same_run bounds -p 0.45,1/3 --digits 14
+same_run phenomenon -p "$n11" --kept x2,x5,x9
+same_run verify -p 0.45,0.40
 # verify writes each report as it is made.
-same_stdout verify --random 3 --n 3 --seed 7
-same_stdout verify --random 2 --n 2 --half-rare
+same_run verify --random 3 --n 3 --seed 7
+same_run verify --random 2 --n 2 --half-rare
 # N=6 is the LP cap; its integer simplex runs it in well under a second.
-same_stdout verify --random 2 --n 6 --seed 1
-same_stdout phenomenon -p 0.45,0.40 --kept ""
+same_run verify --random 2 --n 6 --seed 1
+same_run phenomenon -p 0.45,0.40 --kept ""
 # An -i document: a label with a comma, one with a quote, and a probability
 # written as a 34-digit JSON number.
 printf '%s\n' '{"events": ["a,b", "say \"hi\"", "c"],' \
     '"probabilities": [0.1000000000000000055511151231257827, "1/3", 0.75]}' > doc.json
-same_stdout bounds -i doc.json --format csv --exact
-same_stdout phenomenon -i doc.json --kept c
+same_run bounds -i doc.json --format csv --exact
+same_run phenomenon -i doc.json --kept c
+# A space around "/": Fraction reads it from Python 3.12 on, the CLI on none
+# (exit 2, one error line).
+same_run bounds -p "1 / 2"
 probs=0.45,0.40,0.35,0.30,0.25
 env -u PYTHONPATH halfrare figure -p "$probs" --out installed.svg
 PYTHONPATH="$root/src" python -m halfrare figure -p "$probs" --out module.svg

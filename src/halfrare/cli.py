@@ -27,7 +27,6 @@ import json
 import math
 import os
 import sys
-from decimal import Decimal
 from operator import add
 from typing import Callable, Iterator, Sequence
 
@@ -67,28 +66,27 @@ class CliError(Exception):
         self.code = code
 
 
+class _Number(str):
+    """A JSON number's text as written, for `parse_probability`: a float would round it."""
+
+
 def _read_document(path: str) -> tuple[list[str], list]:
     """The labels and the probability items of a JSON input document."""
     try:
         with open(path, encoding="utf-8") as f:
-            # Decimal keeps a JSON number's own digits: a float would round them.
-            doc = json.load(f, parse_float=Decimal)
+            doc = json.load(f, parse_float=_Number, parse_int=_Number, parse_constant=_Number)
     except OSError as e:
         raise CliError(EXIT_IO, f"cannot read {path!r}: {e.strerror or e}")
-    except (ValueError, RecursionError) as e:
-        # Bad JSON syntax, bytes that are not UTF-8, or nesting too deep.
+    except (ValueError, RecursionError) as e:  # bad syntax, not UTF-8, or nested too deep
         raise CliError(EXIT_PARSE, f"invalid JSON in {path!r}: {e}")
     if not (
         isinstance(doc, dict)
         and isinstance(labels := doc.get("events"), list)
-        and all(isinstance(lab, str) for lab in labels)
+        and all(type(lab) is str for lab in labels)  # not a _Number
         and isinstance(items := doc.get("probabilities"), list)
     ):
-        raise CliError(
-            EXIT_PARSE,
-            'malformed input document: "events" must be a list of strings '
-            'and "probabilities" a list',
-        )
+        raise CliError(EXIT_PARSE, 'malformed input document: "events" must be a list of '
+                       'strings and "probabilities" a list')
     return labels, items
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import re
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -40,17 +39,18 @@ from .errors import (
 #: Dense power-set storage cap: full 2^N tables are only built for N <= 20.
 MAX_EVENTS = 20
 
-#: Most digits a probability's text may carry: decimal places, exponent
-#: magnitude, or either side of a/b.  The star table's denominator, a product
-#: of at most MAX_EVENTS such denominators, then stays under Python's
-#: 4,300-digit limit for printing an integer.
+#: Most digits a probability's text may carry: either side of a/b, or a
+#: decimal's integer digits and its places net of the exponent.  The star
+#: table's denominator, a product of at most MAX_EVENTS such denominators, then
+#: stays under Python's 4,300-digit limit for printing an integer.
 MAX_PROBABILITY_DIGITS = 200
 
-#: Decimal places `format_decimal` rounds to unless told otherwise.
+#: Places `format_decimal` rounds to unless told otherwise.
 DEFAULT_DIGITS = 6
 
 _NOT_TEXT = re.compile("[\x00-\x1f\x7f-\x9f\ud800-\udfff]")
-_WHOLE = re.compile(r"[+-]?(\d*)")
+#: What a probability's text is: a sign, then a/b or a decimal (integer digits, places, exponent).
+_PROBABILITY = re.compile(r"[+-]?(?:(\d+)/(\d+)|(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?)")
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -176,36 +176,31 @@ def indicator_string(x: int, n: int) -> str:
 
 
 def parse_probability(text: str) -> Fraction:
-    """Parse a decimal ("0.45") or fraction ("9/20") string exactly.
+    """Parse a decimal ("0.45", "45e-2") or fraction ("9/20") string exactly.
 
-    The size is checked on the text, before the `Fraction` is built: a decimal
-    may have at most MAX_PROBABILITY_DIGITS places, integer digits as written,
-    and exponent magnitude, a fraction at most that many digits on either side.
-    Digit separators ("0.4_5") are rejected on every Python.  Every failure is
-    a ValueError quoting at most the first 24 characters."""
+    `_PROBABILITY` alone decides what the text may be, on every Python: "1 / 2"
+    and "0.4_5" are not probabilities.  Its groups are checked before the
+    `Fraction` is built: at most MAX_PROBABILITY_DIGITS digits on either side
+    of a/b, or in a decimal's integer part as written and in its places net of
+    the exponent, either way: 1.5e-199 and 1e200 pass, 1.5e-200 and 1e201 do
+    not.  Every failure is a ValueError that shows the text through `excerpt`."""
     text = text.strip()
-    num, slash, den = text.partition("/")
-    if slash:
-        digits = max(len(num), len(den))
-    else:
-        try:
-            exponent = Decimal(text).as_tuple().exponent
-        except InvalidOperation:
-            exponent = None  # not a number: Fraction rejects it below
-        # Places or exponent, and the integer digits as written: 1e200 has one.
-        if isinstance(exponent, int):  # not inf or nan either
-            digits = max(abs(exponent), len(_WHOLE.match(text)[1]))
+    if match := _PROBABILITY.fullmatch(text):
+        num, den, whole, places, exp = match.groups()
+        places, exp = len(places or ""), exp or "0"
+        if num is not None:
+            size = max(len(num), len(den))
+        elif len(exp.lstrip("+-0")) > len(str(places + MAX_PROBABILITY_DIGITS)):
+            size = math.inf  # an exponent too long to bring the places back within the cap
         else:
-            digits = 0
-    if digits > MAX_PROBABILITY_DIGITS:
-        raise ValueError(f"{excerpt(text)} exceeds {MAX_PROBABILITY_DIGITS} digits")
-    try:
-        if "_" in text:
-            # Digit separators: Fraction takes them only from Python 3.11 on.
-            raise ValueError
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{excerpt(text)} is not a decimal or a fraction a/b, b > 0") from None
+            size = max(len(whole), abs(places - int(exp)))
+        if size > MAX_PROBABILITY_DIGITS:
+            raise ValueError(f"{excerpt(text)} exceeds {MAX_PROBABILITY_DIGITS} digits")
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):  # b = 0, or past the int string limit
+            pass
+    raise ValueError(f"{excerpt(text)} is not a decimal or a fraction a/b, b > 0")
 
 
 class MarginalSet(Value):

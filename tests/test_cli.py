@@ -121,10 +121,15 @@ class TestBoundsCommand:
         # Event "a,b" alone: its star is p/4, and its upper bound p itself.
         p = F(digits)
         assert list(csv.reader(outs[0].splitlines()))[2] == ["10", "a,b", "0", str(p / 4), str(p)]
-        path.write_text('{"events": ["a"], "probabilities": [1e400]}')
-        code, out, err = run(capsys, "bounds", "-i", str(path))
-        assert (code, out) == (2, "")
-        assert err == "error: cannot parse probability #0: '1E+400' exceeds 200 digits\n"
+        # The second is too long an exponent for decimal.Decimal, which ended
+        # it in a traceback; a float would show the third as 'nan'.
+        for number, reason in (("1e400", "exceeds 200 digits"),
+                               ("1e99999999999999999999", "exceeds 200 digits"),
+                               ("NaN", "is not a decimal or a fraction a/b, b > 0")):
+            path.write_text(f'{{"events": ["a"], "probabilities": [{number}]}}')
+            code, out, err = run(capsys, "bounds", "-i", str(path))
+            assert (code, out) == (2, "")
+            assert err == f"error: cannot parse probability #0: '{number}' {reason}\n"
 
     def test_bad_json_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "m.json"
@@ -580,6 +585,8 @@ class TestPhenomenonCommand:
         (["phenomenon", "-p", "0.45,0.40", "--kept", "z" * 5000], None, 3),
         (["phenomenon", "-p", "0.45,0.40", "--kept", ",".join(["x1"] * 2000)], None, 3),
         (["bounds", "-i", "no\nsuch.json"], None, 5),
+        (["bounds", "-i", "DOC"], b'{"events": [0.5], "probabilities": ["0.4"]}', 2),
+        (["bounds", "-p", "1 / 2"], None, 2),
     ],
     ids=[
         "bounds-digits-negative",
@@ -642,6 +649,8 @@ class TestPhenomenonCommand:
         "kept-long-unknown-label",
         "kept-many-repeated-labels",
         "input-path-newline",
+        "events-a-number",
+        "spaced-fraction",
     ],
 )
 def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):
@@ -658,7 +667,7 @@ def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", "-m", "halfrare", *argv],
-        capture_output=True, text=True, env=_CHILD_ENV,
+        capture_output=True, text=True, env=_CHILD_ENV, timeout=60,
     )
     elapsed = time.perf_counter() - start
     assert proc.returncode == code
@@ -681,12 +690,22 @@ def test_bad_input_exits_cleanly(tmp_path, argv, doc, code):
             assert "argument --n: must be >= 1" in proc.stderr
 
 
+@pytest.mark.parametrize("text", ["1e-99999999999999999999", "1e99999999999999999999"])
+def test_long_exponent_exits_2_at_once(text):
+    # Decimal rejected an exponent this long, and Fraction then set out to
+    # build 10**(10**20): the child ran until killed.
+    proc = subprocess.run([sys.executable, "-m", "halfrare", "bounds", "-p", text],
+                          capture_output=True, text=True, env=_CHILD_ENV, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: cannot parse probability #0: {text!r} exceeds 200 digits\n"
+
+
 def test_missing_input_path_named_once(tmp_path):
     # The path as a repr, then the OS's reason alone: OSError's text would
     # name it again.
     path = str(tmp_path / "missing.json")
     proc = subprocess.run([sys.executable, "-m", "halfrare", "bounds", "-i", path],
-                          capture_output=True, text=True, env=_CHILD_ENV)
+                          capture_output=True, text=True, env=_CHILD_ENV, timeout=60)
     assert proc.returncode == 5
     assert proc.stderr == f"error: cannot read {path!r}: No such file or directory\n"
 
@@ -694,7 +713,7 @@ def test_missing_input_path_named_once(tmp_path):
 def test_unwritable_figure_path_named_once(tmp_path):
     out = str(tmp_path / "missing" / "fig.svg")
     proc = subprocess.run([sys.executable, "-m", "halfrare", "figure", "-p", "0.4", "--out", out],
-                          capture_output=True, text=True, env=_CHILD_ENV)
+                          capture_output=True, text=True, env=_CHILD_ENV, timeout=60)
     assert proc.returncode == 5
     assert proc.stderr == f"error: cannot write {out!r}: No such file or directory\n"
 
@@ -792,7 +811,7 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys, halfrare.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
-        capture_output=True, text=True, env=_CHILD_ENV,
+        capture_output=True, text=True, env=_CHILD_ENV, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
@@ -810,7 +829,7 @@ def test_cli_import_builds_no_parser():
         "print(len(built))\n"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", code],
-                          capture_output=True, text=True, env=_CHILD_ENV)
+                          capture_output=True, text=True, env=_CHILD_ENV, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
@@ -1029,7 +1048,8 @@ def test_csv_stream_matches_csv_writer(capsys, tmp_path, labels):
 def test_sweep_rejects_bad_ranges(argv):
     script = Path(__file__).parents[1] / "scripts" / "verification_sweep.py"
     proc = subprocess.run(
-        [sys.executable, str(script), *argv], capture_output=True, text=True, env=_CHILD_ENV
+        [sys.executable, str(script), *argv], capture_output=True, text=True, env=_CHILD_ENV,
+        timeout=60,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -1063,7 +1083,7 @@ def test_render_figures_rejects_bad_outdir(tmp_path, outdir):
     script = Path(__file__).parents[1] / "scripts" / "render_figures.py"
     proc = subprocess.run(
         [sys.executable, str(script), str(tmp_path / outdir)],
-        capture_output=True, text=True, env=_CHILD_ENV,
+        capture_output=True, text=True, env=_CHILD_ENV, timeout=60,
     )
     assert proc.returncode == 5
     assert proc.stdout == ""
@@ -1106,13 +1126,14 @@ def test_scripts_exit_5_on_a_stdout_write_error(tmp_path, script, args, stdout):
 def test_ci_checks_script_parses():
     # A syntax error in the CI script fails here, not only on GitHub.
     script = Path(__file__).parents[1] / "scripts" / "ci_checks.sh"
-    proc = subprocess.run(["sh", "-n", str(script)], capture_output=True, text=True)
+    proc = subprocess.run(["sh", "-n", str(script)], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 
 # Numbers as the CLI reads them.  Accepted exponents stay within +-30: an
 # exponent e gives every value a 10^|e| denominator, so run time grows with
-# |e|, which is slow, not wrong.  Past +-200 the text is rejected unparsed.
+# |e|, which is slow, not wrong.  Past +-200 the text is rejected unparsed,
+# also with an exponent of 19 digits or more, which decimal.Decimal refused.
 _probability = st.one_of(
     st.fractions(min_value=0, max_value=1, max_denominator=40).map(str),
     st.builds("0.{:02d}".format, st.integers(0, 99)),
@@ -1123,9 +1144,12 @@ _number = st.one_of(
     st.builds(
         "{}e{}".format,
         st.integers(-10**4, 10**4),
-        st.integers(-30, 30) | st.sampled_from([-201, 201, -2000000]),
+        st.integers(-30, 30) | st.sampled_from([-201, 201, -2000000, -10**20, 10**20]),
     ),
     st.builds("{}/{}".format, st.integers(-3, 9), st.integers(-1, 9)),
+    # Fraction reads these from Python 3.12 on; the CLI never does.
+    st.builds("{}{}{}".format, st.integers(0, 9), st.sampled_from([" / ", " /", "/ "]),
+              st.integers(1, 9)),
     st.sampled_from(["0.45", "nan", "inf", "", " ", "zebra", "1_0", "0x1"]),
 )
 # Lone surrogates are valid JSON escapes but cannot be written as UTF-8.
@@ -1192,6 +1216,12 @@ _command_args = {
 
 @st.composite
 def _invocations(draw):
+    if draw(st.sampled_from([True, False, False, False])):
+        # A well-formed table, so each writer runs on drawn values.
+        probs = ",".join(draw(st.lists(_probability, min_size=1, max_size=4)))
+        number = draw(st.sampled_from([[], ["--exact"], ["--digits", "0"], ["--digits", "14"]]))
+        writer = draw(st.sampled_from(["table", "json", "csv"]))
+        return ["bounds", "-p", probs, "--format", writer, *number], b""
     command = draw(st.sampled_from(sorted(_command_args)))
     argv = [command]
     source = draw(st.sampled_from(["p", "i"] * 4 + ["both", "none"]))

@@ -6,7 +6,7 @@ from fractions import Fraction
 from operator import add, mul, xor
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halfrare import (
@@ -303,10 +303,49 @@ class TestRationals:
         assert parse_probability(f"1e-{cap}") == Fraction(1, 10**cap)
         assert parse_probability("0." + "0" * (cap - 1) + "1") == Fraction(1, 10**cap)
         assert parse_probability("1/" + "9" * cap) == Fraction(1, 10**cap - 1)
+        # The sign is not a digit.
+        assert parse_probability("+" + "1" * cap + "/" + "9" * cap) == Fraction(1, 9)
+        assert parse_probability("-" + "1" * cap + "/" + "9" * cap) == Fraction(-1, 9)
+        # Places net of the exponent: 201 places less 1, and 1 place plus 199.
+        assert parse_probability("0.0" + "1" * cap + "e1") == Fraction(10**cap // 9, 10**cap)
+        assert parse_probability(f"1.5e-{cap - 1}") == Fraction(15, 10**cap)
         for text in (f"1e-{cap + 1}", "0." + "0" * cap + "1", "1/" + "9" * (cap + 1),
-                     f"1e{cap + 1}", "1e-2000000"):
+                     f"1e{cap + 1}", "1e-2000000", f"1.5e-{cap}", "-" + "1" * (cap + 1) + "/9"):
             with pytest.raises(ValueError):
                 parse_probability(text)
+
+    @pytest.mark.parametrize("text", ["1e-99999999999999999999", "1e+99999999999999999999",
+                                      "0." + "1" * 300 + "e" + "9" * 400])
+    def test_long_exponent_is_over_the_cap_unconverted(self, text):
+        # Fraction would build 10**exponent; int() refuses 4,300 digits.
+        with pytest.raises(ValueError) as e:
+            parse_probability(text)
+        assert str(e.value).endswith(f"exceeds {MAX_PROBABILITY_DIGITS} digits")
+
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(["+", "-", "0", "1", "7", ".", "e", "E", "/", " ", "_",
+                                     "9" * 100, "1" * 101, "200", "99999999999999999999"]),
+                    max_size=8).map("".join))
+    @example("1 / 2")
+    @example("1_0/2")
+    @example("1e201")
+    @example(" " + "9" * 200)
+    def test_grammar_is_fractions_without_spaces_or_separators(self, text):
+        # Fraction's own grammar changes between Pythons: 3.11 takes "1_0",
+        # 3.12 "1 / 2".  Each Python in CI's matrix checks its own here.
+        if " " in text.strip() or "_" in text:
+            expected = None
+        else:
+            try:
+                # Fraction only within the cap: past it, it may build 10**(10**19).
+                expected = Fraction(text) if _within_cap(text) else None
+            except (ValueError, ZeroDivisionError):
+                expected = None
+        if expected is None:
+            with pytest.raises(ValueError):
+                parse_probability(text)
+        else:
+            assert parse_probability(text) == expected
 
     @pytest.mark.parametrize(
         "text, message",
@@ -314,8 +353,12 @@ class TestRationals:
          ("1e-201", "'1e-201' exceeds 200 digits"),
          # Integer digits count too, also past the int string limit.
          ("9" * 250, f"'{'9' * 24}'... exceeds 200 digits"),
-         ("9" * 5000, f"'{'9' * 24}'... exceeds 200 digits")],
-        ids=["separator", "digits", "integer-digits", "integer-digits-over-the-int-limit"],
+         ("9" * 5000, f"'{'9' * 24}'... exceeds 200 digits"),
+         # Fraction takes spaces around "/" from Python 3.12 on.
+         ("1 / 2", "'1 / 2' is not a decimal or a fraction a/b, b > 0"),
+         ("1/ 2", "'1/ 2' is not a decimal or a fraction a/b, b > 0")],
+        ids=["separator", "digits", "integer-digits", "integer-digits-over-the-int-limit",
+             "spaced-slash", "space-after-slash"],
     )
     def test_library_text_is_read_as_the_cli_reads_it(self, text, message):
         # Digit separators would pass Fraction() from Python 3.11 on.
@@ -369,6 +412,18 @@ class TestRationals:
     @given(st.lists(st.integers(-(10**30), 10**30), max_size=8), st.integers(1, 10**30))
     def test_format_exact_reduces_as_fraction_prints(self, nums, den):
         assert format_exact(nums, den) == [str(Fraction(num, den)) for num in nums]
+
+
+def _within_cap(text: str) -> bool:
+    """The size rule, restated on the text: at most 200 digits on either side
+    of a/b, or a decimal's integer digits, and its places net of the exponent."""
+    text = text.strip()
+    if "/" in text:
+        num, den = text.lstrip("+-").split("/")
+        return max(len(num), len(den)) <= MAX_PROBABILITY_DIGITS
+    mantissa, _, exp = text.lower().partition("e")
+    whole, _, places = mantissa.lstrip("+-").partition(".")
+    return max(len(whole), abs(len(places) - int(exp or 0))) <= MAX_PROBABILITY_DIGITS
 
 
 def reference_format_decimal(q: Fraction, digits: int) -> str:
